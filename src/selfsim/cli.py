@@ -372,7 +372,9 @@ def main(argv=None) -> int:
     except (BudgetExceeded, StepBudgetExceeded) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except SelfsimError as exc:
+    except (SelfsimError, OSError) as exc:
+        # an unreadable spec or unwritable output is a usage error, never
+        # exit 1, which means "excluded"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -4,6 +4,15 @@ The depth-n cover is the union of all n-fold cylinder images of the hull;
 it contains the attractor, shrinks as n grows, and its gaps are certified
 attractor-free zones.  Exact points are images of generator fixed points
 under bounded words and are certified members of the attractor.
+
+Every depth-n cover endpoint lies on the lattice ``Z/(H*D**n)``, where
+``D`` is the lcm of the ratio and offset denominators and ``H`` the lcm of
+the two hull endpoint denominators: a map ``x -> (a/D)*x + c/D`` sends
+``Z/S`` into ``Z/(D*S)``.  So each (system, depth) cover is built once, in
+``int`` arithmetic from the depth n-1 cover, and cached as a
+:class:`LatticeSet` together with its largest gap.  That cache is the only
+one: :func:`cover` builds the ``Fraction`` form per call for callers
+outside the engine, and the engine reads :func:`lattice_cover` directly.
 """
 
 from __future__ import annotations
@@ -11,15 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import BudgetExceeded, ParameterOutOfRange, SelfsimError, UntaggedFamily
-from .intervals import Interval, IntervalSet
+from .intervals import IntervalSet, LatticeSet
 from .similitudes import IFS
 
 DEFAULT_BUDGET = 10**6
 
 
-def _check_budget(m: int, depth: int, budget: int) -> None:
+def _check_depth(m: int, depth: int, budget: int) -> None:
+    if depth < 0:
+        raise ParameterOutOfRange("depth >= 0 violated")
     count = m**depth
     if count > budget:
         raise BudgetExceeded(count, budget)
@@ -36,14 +48,39 @@ class CoverReport:
 
 
 @lru_cache(maxsize=None)
-def _cover_set(ifs: IFS, depth: int) -> IntervalSet:
+def _cover_lattice(ifs: IFS, depth: int) -> tuple[LatticeSet, Fraction]:
+    """The depth-n cover on its lattice, and its largest gap."""
     if depth == 0:
-        return IntervalSet((ifs.hull,))
-    prev = _cover_set(ifs, depth - 1)
-    parts: list[Interval] = []
+        scale = lcm(ifs.hull.lo.denominator, ifs.hull.hi.denominator)
+        return LatticeSet.from_set(IntervalSet((ifs.hull,)), scale), Fraction(0)
+    prev, _ = _cover_lattice(ifs, depth - 1)
+    d = lcm(*(x.denominator for f in ifs.maps for x in (f.ratio, f.offset)))
+    pieces: list[tuple[int, int]] = []
     for f in ifs.maps:
-        parts.extend(prev.affine(f.ratio, f.offset).parts)
-    return IntervalSet(parts)
+        r = f.ratio.numerator * (d // f.ratio.denominator)
+        t = f.offset.numerator * (d // f.offset.denominator) * prev.scale
+        pieces.extend(zip([r * x + t for x in prev.los], [r * x + t for x in prev.his]))
+    # each map's image is a sorted run, which the sort merges cheaply
+    pieces.sort()
+    los: list[int] = []
+    his: list[int] = []
+    for lo, hi in pieces:
+        if his and lo <= his[-1]:
+            if hi > his[-1]:
+                his[-1] = hi
+        else:
+            los.append(lo)
+            his.append(hi)
+    parts = LatticeSet(prev.scale * d, tuple(los), tuple(his))
+    return parts, parts.largest_gap()
+
+
+def lattice_cover(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> LatticeSet:
+    """The depth-n cover on the lattice ``Z/(H*D**n)``, built once per
+    (system, depth).  Raises BudgetExceeded when m**n would exceed
+    ``budget``, before anything is built."""
+    _check_depth(ifs.arity, depth, budget)
+    return _cover_lattice(ifs, depth)[0]
 
 
 def cover(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> CoverReport:
@@ -52,15 +89,13 @@ def cover(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> CoverReport:
     Touching cylinders merge, so piece_count can be smaller than m**n.
     Raises BudgetExceeded when m**n would exceed ``budget``.
     """
-    if depth < 0:
-        raise ParameterOutOfRange("depth >= 0 violated")
-    _check_budget(ifs.arity, depth, budget)
-    parts = _cover_set(ifs, depth)
+    _check_depth(ifs.arity, depth, budget)
+    lattice, gap = _cover_lattice(ifs, depth)
     return CoverReport(
         depth=depth,
-        parts=parts,
-        piece_count=len(parts),
-        largest_gap=parts.largest_gap(),
+        parts=lattice.to_set(),
+        piece_count=len(lattice.los),
+        largest_gap=gap,
     )
 
 
@@ -92,9 +127,7 @@ def exact_points(
     Every returned point lies in the attractor: fixed points do, and the
     attractor is closed under the generators.
     """
-    if depth < 0:
-        raise ParameterOutOfRange("depth >= 0 violated")
-    _check_budget(ifs.arity, depth, budget)
+    _check_depth(ifs.arity, depth, budget)
     return _points_upto(ifs, depth)
 
 
@@ -113,8 +146,8 @@ def family_gap(ifs: IFS, budget: int = DEFAULT_BUDGET) -> Fraction:
         total = sum((f.ratio for f in ifs.maps), Fraction(0))
         return (1 - total) / (ifs.arity - 1)
     if ifs.family == "four-map-example":
-        shallow = _cover_set(ifs, 1).largest_gap_interval()
-        deep = _cover_set(ifs, 2).largest_gap_interval()
+        shallow = _cover_lattice(ifs, 1)[0].to_set().largest_gap_interval()
+        deep = _cover_lattice(ifs, 2)[0].to_set().largest_gap_interval()
         if shallow != deep:
             raise SelfsimError("largest gap did not stabilize by depth 2")
         assert shallow is not None

@@ -7,7 +7,8 @@ cross-check each other:
   inclusion certificates or point-in-gap exclusion witnesses.
 * ``decompose``: greedy longest-word descent through cylinder hulls.
 * ``enumerate_embeddings``: constraint propagation over exact interval
-  sets, finding every feasible offset for a fixed ratio.
+  sets on one integer lattice, finding every feasible offset for a fixed
+  ratio.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from math import lcm
+from typing import Iterator, Sequence
 
-from .cover import DEFAULT_BUDGET, cover, exact_points
+from .cover import DEFAULT_BUDGET, exact_points, lattice_cover
 from .errors import (
     EmptySet,
     HypothesisViolated,
@@ -26,7 +28,7 @@ from .errors import (
     StepBudgetExceeded,
     WrongFamilyRange,
 )
-from .intervals import Interval, IntervalSet, intersect_shifted
+from .intervals import Interval, IntervalSet, LatticeSet, lattice_intersect_shifted
 from .rationals import format_rational
 from .similitudes import (
     IDENTITY,
@@ -46,6 +48,7 @@ POINT_DEPTH = 4
 COVER_DEPTH = 8
 BRANCH_DEPTH = 6
 MAX_STEPS = 64
+WORD_LIMIT = 64
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -108,48 +111,53 @@ INCLUDED_KINDS = (IncludedWord, IncludedReflectedWord, IncludedCylinderExchange)
 # -- word matching ----------------------------------------------------------
 
 
-def find_matching_words(ifs: IFS, g: Similitude, limit: int = 64) -> tuple[Word, ...]:
-    """All words w with word_map(w) == g, in lexicographic order.
+def _matching_words(ifs: IFS, g: Similitude, limit: int = WORD_LIMIT) -> Iterator[Word]:
+    """Words w with word_map(w) == g, lazily, in lexicographic order.
 
-    Depth-first descent dividing out one generator at a time.  A branch
-    dies when its residual ratio overshoots 1 or its hull image leaves the
-    hull; both prunes are exact, so the search is complete up to ``limit``
-    letters.
+    Depth-first descent dividing out one generator at a time, trying
+    letters 1..m in order.  A branch dies when its residual ratio
+    overshoots 1 or its hull image leaves the hull; both prunes are exact,
+    so the search is complete up to ``limit`` letters.
     """
     if g.ratio <= 0:
-        return ()
+        return
     hull = ifs.hull
-    out: list[Word] = []
 
-    def descend(h: Similitude, prefix: tuple[int, ...]) -> None:
+    def descend(h: Similitude, prefix: tuple[int, ...]) -> Iterator[Word]:
         if h == IDENTITY:
-            out.append(Word(ifs.arity, prefix))
+            yield Word(ifs.arity, prefix)
             return
         if h.ratio > 1 or len(prefix) >= limit:
             return
         if not hull.contains_interval(h.map_interval(hull)):
             return
         for i, f in enumerate(ifs.maps, start=1):
-            descend(f.invert().compose(h), prefix + (i,))
+            yield from descend(f.invert().compose(h), prefix + (i,))
 
-    descend(g, ())
-    return tuple(out)
+    yield from descend(g, ())
+
+
+def find_matching_words(
+    ifs: IFS, g: Similitude, limit: int = WORD_LIMIT
+) -> tuple[Word, ...]:
+    """All words w with word_map(w) == g, in lexicographic order, up to
+    ``limit`` letters."""
+    return tuple(_matching_words(ifs, g, limit))
 
 
 def _close_branch(
     ifs: IFS, h: Similitude, sigma: Similitude | None
 ) -> tuple[Word, bool] | None:
-    """Word w with h == φ_w, or h == φ_w∘σ when a certified reflection is
-    available; None when the branch stays open."""
+    """First word w with h == φ_w, or h == φ_w∘σ when a certified reflection
+    is available; None when the branch stays open."""
     if h.ratio > 0:
-        words = find_matching_words(ifs, h)
-        if words:
-            return words[0], False
+        g, reflected = h, False
     elif sigma is not None:
-        words = find_matching_words(ifs, h.compose(sigma))
-        if words:
-            return words[0], True
-    return None
+        g, reflected = h.compose(sigma), True
+    else:
+        return None
+    word = next(_matching_words(ifs, g), None)
+    return None if word is None else (word, reflected)
 
 
 # -- check_embedding --------------------------------------------------------
@@ -164,6 +172,45 @@ def _escape_gap(hull: Interval, y: Fraction) -> Interval:
     if y < hull.lo:
         return Interval(y, hull.lo)
     return Interval(hull.hi, y)
+
+
+def _hunt_witness(
+    hull: Interval,
+    covers: Sequence[LatticeSet],
+    u_map: Similitude,
+    h: Similitude,
+    pts: Sequence[Fraction],
+) -> ExcludedWitness | None:
+    """A point of ``pts`` whose image under h escapes the hull or lies
+    strictly inside a gap of the shallowest possible cover; ``covers[n]``
+    is the depth-n cover, so ``covers[0]`` is the hull.
+
+    Images ``h(q)`` are kept as unreduced int pairs ``num/den`` with
+    ``den > 0`` and located on each cover's lattice, so no Fraction is
+    built until a witness is reported.
+    """
+    a, b = h.ratio.numerator, h.ratio.denominator
+    c, d = h.offset.numerator, h.offset.denominator
+    ad, cb, bd = a * d, c * b, b * d
+    # a point inside the deepest cover lies inside every shallower cover,
+    # so only deepest-cover misses can realize a gap witness
+    deepest = covers[-1]
+    suspects: list[tuple[Fraction, int, int]] = []
+    for q in pts:
+        qn, qd = q.numerator, q.denominator
+        num, den = ad * qn + cb * qd, bd * qd
+        if not covers[0].contains(num, den):
+            gap = _escape_gap(hull, Fraction(num, den))
+            return ExcludedWitness(u_map(q), gap, 0)
+        if deepest.gap_index(num, den):
+            suspects.append((q, num, den))
+    for n in range(1, len(covers)):
+        parts = covers[n]
+        for q, num, den in suspects:
+            idx = parts.gap_index(num, den)
+            if idx:
+                return ExcludedWitness(u_map(q), parts.gap(idx), n)
+    return None
 
 
 def check_embedding(
@@ -205,27 +252,9 @@ def _check_embedding_cached(
     sigma = (
         reflection_about(sym.center) if isinstance(sym, SymmetricCertified) else None
     )
-    hull = ifs.hull
     root_pts = exact_points(ifs, point_depth, budget)
     branch_pts = exact_points(ifs, min(point_depth, 1), budget)
-    covers = [cover(ifs, n, budget).parts for n in range(1, cover_depth + 1)]
-    deepest = covers[-1]
-
-    def hunt_witness(u_map: Similitude, h: Similitude, pts: Sequence[Fraction]) -> None:
-        # a point inside the deepest cover lies inside every shallower
-        # cover, so only deepest-cover misses can realize a gap witness
-        suspects: list[Fraction] = []
-        for q in pts:
-            y = h(q)
-            if not hull.contains(y):
-                raise _WitnessFound(ExcludedWitness(u_map(q), _escape_gap(hull, y), 0))
-            if not deepest.contains_point(y):
-                suspects.append(q)
-        for n, parts in enumerate(covers, start=1):
-            for q in suspects:
-                gap = parts.gap_containing(h(q))
-                if gap is not None:
-                    raise _WitnessFound(ExcludedWitness(u_map(q), gap, n))
+    covers = [lattice_cover(ifs, n, budget) for n in range(cover_depth + 1)]
 
     pairs: list[ExchangePair] = []
 
@@ -235,7 +264,11 @@ def _check_embedding_cached(
             target, reflected = closed
             pairs.append(ExchangePair(u, target, reflected))
             return True
-        hunt_witness(u_map, h, root_pts if len(u) <= 1 else branch_pts)
+        witness = _hunt_witness(
+            ifs.hull, covers, u_map, h, root_pts if len(u) <= 1 else branch_pts
+        )
+        if witness is not None:
+            raise _WitnessFound(witness)
         if len(u) >= branch_depth:
             return False
         results = [
@@ -365,8 +398,8 @@ def _refine_by_location(
     """Disambiguate overlapping hull containment via the separation lemma
     on cover-refined images.  Returns a single candidate on success, the
     original list otherwise."""
-    deep = cover(ifs, cover_depth, budget).parts
-    shallow = cover(ifs, cover_depth - 1, budget).parts
+    deep = lattice_cover(ifs, cover_depth, budget).to_set()
+    shallow = lattice_cover(ifs, cover_depth - 1, budget).to_set()
     target = deep.affine(g.ratio, g.offset)
     pieces = [shallow.affine(f.ratio, f.offset) for f in ifs.maps]
     try:
@@ -414,31 +447,43 @@ def enumerate_embeddings(
     if not 0 < abs(ratio) < 1:
         raise ParameterOutOfRange("0 < |ratio| < 1 violated")
     hull = ifs.hull
-    parts = cover(ifs, cover_depth, budget).parts
+    parts = lattice_cover(ifs, cover_depth, budget)
     pts = exact_points(ifs, point_depth, budget)
 
     if ratio > 0:
-        feasible = Interval(hull.lo * (1 - ratio), hull.hi - ratio * hull.hi)
+        feasible = (hull.lo * (1 - ratio), hull.hi - ratio * hull.hi)
     else:
-        feasible = Interval(hull.lo - ratio * hull.hi, hull.hi - ratio * hull.lo)
-    remaining = IntervalSet((feasible,))
+        feasible = (hull.lo - ratio * hull.hi, hull.hi - ratio * hull.lo)
 
-    center = ifs.center
-    ordered = sorted(pts, key=lambda q: (-abs(q - center), q))
+    # the points and the center as ints over one denominator, farthest
+    # from the center first; point p forces the shift -ratio*p
+    den = lcm(ifs.center.denominator, *(q.denominator for q in pts))
+    center = ifs.center.numerator * (den // ifs.center.denominator)
+    ordered = sorted(
+        (q.numerator * (den // q.denominator) for q in pts),
+        key=lambda x: (-abs(x - center), x),
+    )
+    # one common lattice for the offsets: the cover scale (a multiple of
+    # every shallower cover's), the feasible interval and the shifts
+    shift_den = ratio.denominator * den
+    scale = lcm(parts.scale, shift_den, *(x.denominator for x in feasible))
+    lift = -ratio.numerator * (scale // shift_den)
+    steps = [lift * x for x in ordered]
+    remaining = LatticeSet.from_set(IntervalSet((Interval(*feasible),)), scale)
     # coarse warm-up: the depth-4 cover is a superset of the full one, so
     # these extra constraints shrink the offset set without changing the
     # final intersection, and keep the fine-grained passes cheap
-    coarse = cover(ifs, min(cover_depth, 4), budget).parts
-    for p in ordered[:2]:
-        remaining = intersect_shifted(remaining, coarse, -ratio * p)
-    for p in ordered:
-        remaining = intersect_shifted(remaining, parts, -ratio * p)
-        if remaining.is_empty:
+    coarse = lattice_cover(ifs, min(cover_depth, 4), budget)
+    for step in steps[:2]:
+        remaining = lattice_intersect_shifted(remaining, coarse, step)
+    for step in steps:
+        remaining = lattice_intersect_shifted(remaining, parts, step)
+        if not remaining.los:
             break
 
     certified: list[tuple[Similitude, EmbeddingVerdict]] = []
     candidates: list[Interval] = []
-    for component in remaining:
+    for component in remaining.to_set():
         if component.lo == component.hi:
             f = Similitude(ratio, component.lo)
             verdict = check_embedding(

@@ -4,6 +4,11 @@ An :class:`IntervalSet` is kept in canonical form: parts sorted by left
 endpoint, pairwise disjoint, and never touching (two closed intervals that
 share an endpoint are merged).  Point intervals with lo == hi are legal
 parts.  All endpoints are exact rationals; no floats appear anywhere.
+
+A :class:`LatticeSet` is the same canonical union with every endpoint on
+one lattice ``Z/scale``, stored as two sorted ``int`` tuples.  The engine's
+hot paths (cover building, point location, offset propagation) run on it
+in pure integer arithmetic; ``IntervalSet`` is the form callers see.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import Iterable, Iterator
 
 from .errors import EmptySet, NonpositiveDelta
@@ -277,31 +284,114 @@ class Neighborhood:
         return len(self.components) == 1
 
 
-def intersect_shifted(a: IntervalSet, b: IntervalSet, shift: Fraction) -> IntervalSet:
-    """Compute a & (b + shift) without materializing the translate of b.
+@dataclass(frozen=True)
+class LatticeSet:
+    """Canonical union of closed intervals on the lattice ``Z/scale``.
+
+    Part i is ``[los[i]/scale, his[i]/scale]``; the parts obey the same
+    canonical form as :class:`IntervalSet`.  Points ``num/den`` (den > 0)
+    are located by bisection on the floored key ``num*scale // den`` and
+    decided by cross-multiplication, so no ``Fraction`` is built.
+    """
+
+    scale: int
+    los: tuple[int, ...]
+    his: tuple[int, ...]
+
+    @classmethod
+    def from_set(cls, s: IntervalSet, scale: int) -> "LatticeSet":
+        """``s`` on ``Z/scale``; scale must be a multiple of every endpoint
+        denominator."""
+
+        def at(x: Fraction) -> int:
+            q, r = divmod(x.numerator * scale, x.denominator)
+            if r:
+                raise ValueError(f"{x} is not on the lattice Z/{scale}")
+            return q
+
+        return cls(scale, tuple(at(p.lo) for p in s), tuple(at(p.hi) for p in s))
+
+    def to_set(self) -> IntervalSet:
+        s = self.scale
+        return IntervalSet._from_canonical(
+            tuple(
+                Interval(Fraction(lo, s), Fraction(hi, s))
+                for lo, hi in zip(self.los, self.his)
+            )
+        )
+
+    def largest_gap(self) -> Fraction:
+        """Length of the longest gap; 0 when the set is a single interval."""
+        if not self.los:
+            raise EmptySet("empty set has no gap structure")
+        return Fraction(max(map(sub, self.los[1:], self.his), default=0), self.scale)
+
+    def contains(self, num: int, den: int) -> bool:
+        """True when ``num/den`` lies in the set."""
+        idx = bisect_right(self.los, num * self.scale // den)
+        return idx > 0 and num * self.scale <= self.his[idx - 1] * den
+
+    def gap_index(self, num: int, den: int) -> int:
+        """Index i of the gap ``(his[i-1], los[i])`` whose open interior holds
+        ``num/den``; 0 when no gap holds it."""
+        idx = bisect_right(self.los, num * self.scale // den)
+        if idx == 0 or idx == len(self.los):
+            return 0
+        return idx if num * self.scale > self.his[idx - 1] * den else 0
+
+    def gap(self, idx: int) -> Interval:
+        """The gap ``gap_index`` named, with rational endpoints."""
+        return Interval(
+            Fraction(self.his[idx - 1], self.scale), Fraction(self.los[idx], self.scale)
+        )
+
+
+def lattice_intersect_shifted(a: LatticeSet, b: LatticeSet, shift: int) -> LatticeSet:
+    """``a & (b + shift/a.scale)`` on a's lattice, whose scale must be a
+    multiple of b's.
 
     Two-pointer scan with bisect fast-forward; the work is proportional to
-    the overlapping region, which matters when b is a deep cover.
+    the overlapping region, which matters when b is a deep cover.  Parts of
+    b are lifted to a's lattice only when the scan reaches them.
     """
-    pa, pb = a.parts, b.parts
-    out: list[Interval] = []
+    k, rem = divmod(a.scale, b.scale)
+    if rem:
+        raise ValueError(f"scale {a.scale} is not a multiple of {b.scale}")
+    alos, ahis, blos, bhis = a.los, a.his, b.los, b.his
+    los: list[int] = []
+    his: list[int] = []
     i = j = 0
-    while i < len(pa) and j < len(pb):
-        blo = pb[j].lo + shift
-        bhi = pb[j].hi + shift
-        if bhi < pa[i].lo:
-            # fast-forward j to the first part of b reaching a[i]
-            j = bisect_left(pb, pa[i].lo - shift, lo=j, key=lambda p: p.hi)
+    while i < len(alos) and j < len(blos):
+        blo = blos[j] * k + shift
+        bhi = bhis[j] * k + shift
+        if bhi < alos[i]:
+            # first j with bhis[j]*k + shift >= alos[i], by ceiling division
+            j = bisect_left(bhis, -((shift - alos[i]) // k), lo=j)
             continue
-        if pa[i].hi < blo:
-            i = bisect_left(pa, blo, lo=i, key=lambda p: p.hi)
+        if ahis[i] < blo:
+            i = bisect_left(ahis, blo, lo=i)
             continue
-        lo = max(pa[i].lo, blo)
-        hi = min(pa[i].hi, bhi)
-        if lo <= hi:
-            out.append(Interval(lo, hi))
-        if pa[i].hi < bhi:
+        los.append(max(alos[i], blo))
+        his.append(min(ahis[i], bhi))
+        if ahis[i] < bhi:
             i += 1
         else:
             j += 1
-    return IntervalSet._from_canonical(tuple(out))
+    return LatticeSet(a.scale, tuple(los), tuple(his))
+
+
+def intersect_shifted(a: IntervalSet, b: IntervalSet, shift: Fraction) -> IntervalSet:
+    """Compute a & (b + shift) without materializing the translate of b.
+
+    Both sets and the shift go onto one common lattice and
+    :func:`lattice_intersect_shifted` does the scan.
+    """
+    scale = lcm(
+        shift.denominator,
+        *(x.denominator for p in (*a.parts, *b.parts) for x in (p.lo, p.hi)),
+    )
+    step = shift.numerator * (scale // shift.denominator)
+    result = lattice_intersect_shifted(
+        LatticeSet.from_set(a, scale), LatticeSet.from_set(b, scale), step
+    )
+    return result.to_set()

@@ -197,6 +197,24 @@ class TestErrorsAndBudget:
         assert main(["check", "/nowhere.ifs", "1/5", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_spec_for_cover(self, tmp_path, capsys):
+        missing = tmp_path / "absent.ifs"
+        assert main(["cover", str(missing), "--depth", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "absent.ifs" in err
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_svg_path(self, three_spec, tmp_path, capsys, where):
+        target = tmp_path / "no" / "x.svg" if where == "missing-dir" else tmp_path
+        code = main(
+            ["cover", three_spec, "--depth", "1", "--svg", str(target),
+             "--format", "record"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_bad_rational_argument(self, three_spec, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["check", three_spec, "x/y", "0"])

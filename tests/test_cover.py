@@ -1,30 +1,48 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
+from selfsim.cli import main
 from selfsim.cover import (
     DEFAULT_BUDGET,
+    _cover_lattice,
     cover,
     exact_points,
     family_gap,
+    lattice_cover,
     stable_gap_check,
 )
+from selfsim.embedding import _check_embedding_cached
 from selfsim.errors import (
     BudgetExceeded,
     ParameterOutOfRange,
     SelfsimError,
     UntaggedFamily,
 )
-from selfsim.intervals import Interval
+from selfsim.intervals import Interval, IntervalSet
 from selfsim.similitudes import (
     IFS,
     Similitude,
+    Word,
     equal_gap,
     four_map_example,
     homogeneous_grid,
     three_map,
     two_map,
+    word_map,
 )
+
+# the six paper systems and an overlapping ratio-1/2 lattice system
+KERNEL_SYSTEMS = {
+    "three-map-lam-3-10": three_map(F(1, 5), F(3, 10)),
+    "three-map-lam-2-5": three_map(F(1, 5), F(2, 5)),
+    "equal-gap": equal_gap((F(1, 4), F(1, 3))),
+    "two-map": two_map(F(1, 4), F(1, 3)),
+    "grid": homogeneous_grid(F(1, 4), 3),
+    "four-map": four_map_example(),
+    "lattice-ratio-half": IFS(tuple(Similitude(F(1, 2), F(k, 8)) for k in range(5))),
+}
 
 
 class TestCover:
@@ -79,6 +97,45 @@ class TestCover:
             cover(four_map_example(), 8, budget=10)
         assert err.value.requested == 4**8
         assert err.value.budget == 10
+
+
+class TestLatticeKernel:
+    @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+    def test_matches_union_of_word_images(self, name):
+        ifs = KERNEL_SYSTEMS[name]
+        for depth in range(6):
+            images = IntervalSet(
+                word_map(ifs, Word(ifs.arity, letters)).map_interval(ifs.hull)
+                for letters in itertools.product(
+                    range(1, ifs.arity + 1), repeat=depth
+                )
+            )
+            report = cover(ifs, depth)
+            assert report.parts == images
+            assert report.largest_gap == images.largest_gap()
+            assert report.piece_count == len(images)
+            assert lattice_cover(ifs, depth).to_set() == images
+
+    def test_scale_is_hull_times_denominator_power(self):
+        # hull [0, 2/3] gives H = 3; ratios and offsets give D = 10
+        ifs = four_map_example()
+        assert [lattice_cover(ifs, n).scale for n in range(4)] == [3, 30, 300, 3000]
+
+    def test_budget_checked_before_build(self):
+        ifs = three_map(F(1, 7), F(2, 7))
+        _cover_lattice.cache_clear()
+        with pytest.raises(BudgetExceeded):
+            lattice_cover(ifs, 9, budget=3**8)
+        assert _cover_lattice.cache_info().currsize == 0
+
+    def test_example_builds_each_cover_once(self, capsys):
+        """verify-paper --only example1_4 builds the four-map covers of
+        depths 0..8 once each, however often it reads them."""
+        _cover_lattice.cache_clear()
+        _check_embedding_cached.cache_clear()
+        assert main(["verify-paper", "--only", "example1_4"]) == 0
+        info = _cover_lattice.cache_info()
+        assert info.misses == info.currsize == 9
 
 
 class TestExactPoints:

@@ -1,11 +1,18 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfsim.errors import EmptySet, NonpositiveDelta
-from selfsim.intervals import Interval, IntervalSet, intersect_shifted
+from selfsim.intervals import (
+    Interval,
+    IntervalSet,
+    LatticeSet,
+    intersect_shifted,
+    lattice_intersect_shifted,
+)
 
 
 def iset(*pairs):
@@ -270,3 +277,69 @@ def test_union_intersect_membership(a, b, x):
 @settings(max_examples=100, deadline=None)
 def test_intersect_shifted_agrees(a, b, shift):
     assert intersect_shifted(a, b, shift) == a & b.translate(shift)
+
+
+def lattice_scale(*sets, extra=()):
+    return lcm(
+        *(x.denominator for s in sets for p in s for x in (p.lo, p.hi)),
+        *(x.denominator for x in extra),
+    )
+
+
+class TestLatticeSet:
+    def test_round_trip(self):
+        s = iset((0, F(1, 5)), (F(3, 10), F(1, 2)))
+        lat = LatticeSet.from_set(s, 20)
+        assert (lat.los, lat.his) == ((0, 6), (4, 10))
+        assert lat.to_set() == s
+        assert lat.largest_gap() == F(1, 10)
+
+    def test_off_lattice_rejected(self):
+        with pytest.raises(ValueError):
+            LatticeSet.from_set(iset((0, F(1, 3))), 10)
+
+    def test_empty_has_no_gap(self):
+        with pytest.raises(EmptySet):
+            LatticeSet(1, (), ()).largest_gap()
+
+    def test_scale_must_divide(self):
+        a = LatticeSet.from_set(iset((0, 1)), 10)
+        b = LatticeSet.from_set(iset((0, F(1, 3))), 3)
+        with pytest.raises(ValueError):
+            lattice_intersect_shifted(a, b, 0)
+
+
+@given(interval_sets(), st.lists(finite_fractions, max_size=6), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_lattice_location_agrees(s, extra, spread):
+    """Every endpoint is queried exactly, as reduced and as unreduced pairs,
+    on a lattice finer than needed."""
+    lat = LatticeSet.from_set(s, lattice_scale(s) * spread)
+    assert lat.to_set() == s
+    queries = [x for p in s for x in (p.lo, p.hi)] + extra
+    for x in queries:
+        for k in (1, spread + 1):
+            num, den = x.numerator * k, x.denominator * k
+            assert lat.contains(num, den) == s.contains_point(x)
+            if s.is_empty:
+                assert lat.gap_index(num, den) == 0
+                continue
+            idx = lat.gap_index(num, den)
+            assert (lat.gap(idx) if idx else None) == s.gap_containing(x)
+    if s:
+        assert lat.largest_gap() == s.largest_gap()
+
+
+@given(interval_sets(), interval_sets(), finite_fractions, st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_lattice_intersect_coarser_b_agrees(a, b, shift, k):
+    """b on a lattice k times coarser than a's, as deep covers are."""
+    coarse = lattice_scale(b)
+    fine = lcm(coarse * k, lattice_scale(a, extra=(shift,)))
+    result = lattice_intersect_shifted(
+        LatticeSet.from_set(a, fine),
+        LatticeSet.from_set(b, coarse),
+        shift.numerator * (fine // shift.denominator),
+    )
+    assert result.scale == fine
+    assert result.to_set() == a & b.translate(shift)
