@@ -9,6 +9,11 @@ cross-check each other:
 * ``enumerate_embeddings``: constraint propagation over exact interval
   sets on one integer lattice, finding every feasible offset for a fixed
   ratio.
+
+A branch of ``check_embedding`` closes when its map is a word map; the
+word search (``find_matching_words``) runs on int prefix maps and prunes
+by hull containment and by the residual ratio being a product of
+generator ratios, both exact.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .cover import DEFAULT_BUDGET, exact_points, lattice_cover
 from .errors import (
@@ -111,37 +116,107 @@ INCLUDED_KINDS = (IncludedWord, IncludedReflectedWord, IncludedCylinderExchange)
 # -- word matching ----------------------------------------------------------
 
 
+def _integer_generators(ifs: IFS) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(d, ((a_1, c_1), ...))`` with φ_i(x) = (a_i*x + c_i)/d, where d is
+    the lcm of the generator ratio and offset denominators."""
+    d = lcm(*(x.denominator for f in ifs.maps for x in (f.ratio, f.offset)))
+    return d, tuple(
+        (
+            f.ratio.numerator * (d // f.ratio.denominator),
+            f.offset.numerator * (d // f.offset.denominator),
+        )
+        for f in ifs.maps
+    )
+
+
+def _ratio_product_test(
+    d: int, gens: Sequence[tuple[int, int]]
+) -> Callable[[int, int, int], bool]:
+    """A memoised exact test ``is_product(num, den, letters)``: is the
+    positive rational num/den a product of at most ``letters`` generator
+    ratios, 1 being the empty product?
+
+    Dividing by a generator ratio raises the quotient, so a quotient above
+    1 is dead.  Quotients are kept as unreduced int pairs; each step
+    multiplies by d/a_i, so a pair depends only on the multiset of letters
+    divided out, and the memo is shared by every path to it.  ``d`` and
+    ``gens`` are as returned by ``_integer_generators``.
+    """
+    scaled = sorted({a for a, _ in gens})
+    memo: dict[tuple[int, int, int], bool] = {}
+
+    def is_product(num: int, den: int, letters: int) -> bool:
+        key = (num, den, letters)
+        hit = memo.get(key)
+        if hit is None:
+            hit = num == den or (
+                num < den
+                and letters > 0
+                and any(is_product(num * d, den * a, letters - 1) for a in scaled)
+            )
+            memo[key] = hit
+        return hit
+
+    return is_product
+
+
 def _matching_words(ifs: IFS, g: Similitude, limit: int = WORD_LIMIT) -> Iterator[Word]:
     """Words w with word_map(w) == g, lazily, in lexicographic order.
 
-    Depth-first descent dividing out one generator at a time, trying
-    letters 1..m in order.  A branch dies when its residual ratio
-    overshoots 1 or its hull image leaves the hull; both prunes are exact,
-    so the search is complete up to ``limit`` letters.
+    Depth-first search over prefixes u, trying letters 1..m in order, on
+    int prefix maps φ_u(x) = (A*x + C)/d**n (see ``_integer_generators``):
+    the child for letter i is (A*a_i, A*c_i + C*d) over d**(n+1).  A prefix
+    is dropped when no extension of it can match g, that is when the
+    residual ratio g.ratio/R_u is not a product of generator ratios, or
+    when g(hull) is not inside φ_u(hull).  Both prunes are exact, so the
+    search is complete up to ``limit`` letters.  Every test is an int
+    cross-multiplication; a Word is built only for a match.
     """
     if g.ratio <= 0:
         return
-    hull = ifs.hull
+    m = ifs.arity
+    d, gens = _integer_generators(ifs)
+    is_product = _ratio_product_test(d, gens)
+    rn, rd = g.ratio.numerator, g.ratio.denominator
+    tn, td = g.offset.numerator, g.offset.denominator
+    # hull = [L/H, U/H]; g(hull) = [GL, GU]/(H*rd*td), and since φ_u is
+    # increasing, φ_u(hull) = [A*L + C*H, A*U + C*H]/(H*D)
+    lo, hi = ifs.hull.lo, ifs.hull.hi
+    H = lcm(lo.denominator, hi.denominator)
+    L, U = lo.numerator * (H // lo.denominator), hi.numerator * (H // hi.denominator)
+    E = rd * td
+    GL, GU = rn * L * td + tn * rd * H, rn * U * td + tn * rd * H
 
-    def descend(h: Similitude, prefix: tuple[int, ...]) -> Iterator[Word]:
-        if h == IDENTITY:
-            yield Word(ifs.arity, prefix)
-            return
-        if h.ratio > 1 or len(prefix) >= limit:
-            return
-        if not hull.contains_interval(h.map_interval(hull)):
-            return
-        for i, f in enumerate(ifs.maps, start=1):
-            yield from descend(f.invert().compose(h), prefix + (i,))
-
-    yield from descend(g, ())
+    # (prefix, A, C, D = d**n); popped in preorder, so matches come out
+    # in lexicographic order
+    stack: list[tuple[tuple[int, ...], int, int, int]] = [((), 1, 0, 1)]
+    while stack:
+        prefix, A, C, D = stack.pop()
+        if A * rd == rn * D and C * td == tn * D:
+            yield Word(m, prefix)
+            continue
+        n = len(prefix)
+        if n >= limit or not is_product(rn * D, rd * A, limit - n):
+            continue
+        CH = C * H
+        if (A * L + CH) * E > GL * D or GU * D > (A * U + CH) * E:
+            continue
+        Cd, Dd = C * d, D * d
+        for i in range(m, 0, -1):
+            a, c = gens[i - 1]
+            stack.append((prefix + (i,), A * a, A * c + Cd, Dd))
 
 
 def find_matching_words(
     ifs: IFS, g: Similitude, limit: int = WORD_LIMIT
 ) -> tuple[Word, ...]:
     """All words w with word_map(w) == g, in lexicographic order, up to
-    ``limit`` letters."""
+    ``limit`` letters.
+
+    The search is exhaustive: its prunes drop only prefixes that no
+    extension can turn into g.  On an overlapping system one map can be
+    the word map of several words, and all of them are returned.
+    """
     return tuple(_matching_words(ifs, g, limit))
 
 
@@ -213,6 +288,11 @@ def _hunt_witness(
     return None
 
 
+def _check_depths(point_depth: int, cover_depth: int, branch_depth: int) -> None:
+    if point_depth < 1 or cover_depth < 1 or branch_depth < 1:
+        raise ParameterOutOfRange("depths >= 1 violated")
+
+
 def check_embedding(
     ifs: IFS,
     f: Similitude,
@@ -232,8 +312,7 @@ def check_embedding(
     """
     if not 0 < abs(f.ratio) < 1:
         raise ParameterOutOfRange("0 < |ratio| < 1 violated")
-    if point_depth < 1 or cover_depth < 1 or branch_depth < 1:
-        raise ParameterOutOfRange("depths >= 1 violated")
+    _check_depths(point_depth, cover_depth, branch_depth)
     return _check_embedding_cached(
         ifs, f, point_depth, cover_depth, branch_depth, budget
     )
@@ -356,6 +435,7 @@ def decompose(
     """
     if not 0 < abs(f.ratio) < 1:
         raise ParameterOutOfRange("0 < |ratio| < 1 violated")
+    _check_depths(point_depth, cover_depth, branch_depth)
     hull = ifs.hull
 
     def fallback() -> EmbeddingVerdict:
@@ -446,6 +526,7 @@ def enumerate_embeddings(
     ratio = Fraction(ratio)
     if not 0 < abs(ratio) < 1:
         raise ParameterOutOfRange("0 < |ratio| < 1 violated")
+    _check_depths(point_depth, cover_depth, branch_depth)
     hull = ifs.hull
     parts = lattice_cover(ifs, cover_depth, budget)
     pts = exact_points(ifs, point_depth, budget)

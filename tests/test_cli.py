@@ -232,6 +232,20 @@ class TestErrorsAndBudget:
         monkeypatch.setenv("SELFSIM_BUDGET", "10")
         assert main(["cover", three_spec, "--depth", "8", "--budget", "1000000"]) == 0
 
+    @pytest.mark.parametrize(
+        "flag", ["--point-depth", "--cover-depth", "--branch-depth"]
+    )
+    @pytest.mark.parametrize("command", ["check", "decompose", "enumerate", "paper"])
+    def test_zero_depth_is_usage_error(self, three_spec, capsys, command, flag):
+        argv = {
+            "check": ["check", three_spec, "1/25", "0"],
+            "decompose": ["decompose", three_spec, "1/25", "0"],
+            "enumerate": ["enumerate", three_spec, "--ratio", "1/5"],
+            "paper": ["verify-paper", "--only", "cor1_3i"],
+        }[command]
+        assert main(argv + [flag, "0"]) == 2
+        assert "depths >= 1 violated" in capsys.readouterr().err
+
     def test_bad_env(self, three_spec, capsys, monkeypatch):
         monkeypatch.setenv("SELFSIM_BUDGET", "lots")
         assert main(["cover", three_spec]) == 2

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from selfsim.cover import cover, exact_points
 from selfsim.embedding import (
+    WORD_LIMIT,
     EnumerationResult,
     ExchangePair,
     ExcludedWitness,
@@ -21,6 +23,7 @@ from selfsim.embedding import (
     mirror_reduce,
     verdict_record,
 )
+from selfsim.embedding import _integer_generators, _ratio_product_test
 from selfsim.errors import (
     EmptySet,
     HypothesisViolated,
@@ -31,20 +34,78 @@ from selfsim.errors import (
 )
 from selfsim.intervals import Interval, IntervalSet
 from selfsim.similitudes import (
+    IDENTITY,
+    IFS,
     Similitude,
     UnknownAtDepth,
     Word,
+    equal_gap,
     four_map_example,
     three_map,
     two_map,
     word_map,
 )
+from selfsim.verify import words_with_ratio_product
 
 THREE = three_map(F(1, 5), F(3, 10))
 SYM = three_map(F(1, 5), F(2, 5))
 FOUR = four_map_example()
 G1 = Similitude(F(1, 10), F(1, 20))
 G2 = Similitude(F(1, 10), F(11, 20))
+# overlapping lattice systems with attractor [0, 1]
+LATTICE_HALF = IFS(Similitude(F(1, 2), F(k, 8)) for k in range(5))
+LATTICE_THIRD = IFS(Similitude(F(1, 3), F(k, 6)) for k in range(5))
+SEARCH_SYSTEMS = (
+    THREE,
+    equal_gap((F(1, 4), F(1, 3))),
+    two_map(F(1, 4), F(1, 3)),
+    FOUR,
+    LATTICE_HALF,
+    LATTICE_THIRD,
+)
+
+
+def reference_matching_words(ifs, g, limit=WORD_LIMIT):
+    """The word search in Fraction arithmetic: divide out one generator at a
+    time, pruning on residual ratio > 1 and on the hull image leaving the
+    hull."""
+    if g.ratio <= 0:
+        return ()
+    hull = ifs.hull
+    out = []
+
+    def descend(h, prefix):
+        if h == IDENTITY:
+            out.append(Word(ifs.arity, prefix))
+            return
+        if h.ratio > 1 or len(prefix) >= limit:
+            return
+        if not hull.contains_interval(h.map_interval(hull)):
+            return
+        for i, f in enumerate(ifs.maps, start=1):
+            descend(f.invert().compose(h), prefix + (i,))
+
+    descend(g, ())
+    return tuple(out)
+
+
+@st.composite
+def search_cases(draw):
+    """(system, map, limit): word maps, word maps with a perturbed offset,
+    and maps whose ratio need not be a product of generator ratios."""
+    ifs = draw(st.sampled_from(SEARCH_SYSTEMS))
+    letters = draw(st.lists(st.integers(1, ifs.arity), max_size=5))
+    g = word_map(ifs, Word(ifs.arity, tuple(letters)))
+    kind = draw(st.sampled_from(["word", "perturbed", "free-ratio"]))
+    if kind == "perturbed":
+        shift = F(draw(st.integers(-3, 3)), draw(st.integers(1, 64)))
+        g = Similitude(g.ratio, g.offset + shift)
+    elif kind == "free-ratio":
+        ratio = F(draw(st.integers(1, 29)), draw(st.integers(30, 60)))
+        offset = F(draw(st.integers(0, 40)), draw(st.integers(1, 40)))
+        g = Similitude(ratio, offset)
+    limit = draw(st.one_of(st.integers(0, 4), st.just(WORD_LIMIT)))
+    return ifs, g, limit
 
 
 class TestFindMatchingWords:
@@ -53,8 +114,6 @@ class TestFindMatchingWords:
         assert find_matching_words(THREE, f) == (THREE.word(2, 3),)
 
     def test_identity_is_empty_word(self):
-        from selfsim.similitudes import IDENTITY
-
         assert find_matching_words(THREE, IDENTITY) == (THREE.empty_word(),)
 
     def test_non_word_map_finds_nothing(self):
@@ -69,6 +128,63 @@ class TestFindMatchingWords:
     def test_round_trip_random_words(self, letters):
         w = Word(3, tuple(letters))
         assert find_matching_words(THREE, word_map(THREE, w)) == (w,)
+
+    @given(search_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_fraction_search(self, case):
+        ifs, g, limit = case
+        assert find_matching_words(ifs, g, limit) == reference_matching_words(
+            ifs, g, limit
+        )
+
+    @pytest.mark.parametrize("ifs", SEARCH_SYSTEMS, ids=range(len(SEARCH_SYSTEMS)))
+    def test_agrees_on_every_short_word(self, ifs):
+        # overlapping systems reach one map by several words; all of them,
+        # in order, and under every cap on the length
+        for n in range(3):
+            for letters in product(range(1, ifs.arity + 1), repeat=n):
+                g = word_map(ifs, Word(ifs.arity, letters))
+                for limit in (n, n + 1, WORD_LIMIT):
+                    assert find_matching_words(ifs, g, limit) == (
+                        reference_matching_words(ifs, g, limit)
+                    )
+
+    def test_several_words_on_overlapping_system(self):
+        # φ_1∘φ_3 = φ_2∘φ_1 on the ratio-1/2 lattice: both offsets are 1/8
+        g = word_map(LATTICE_HALF, LATTICE_HALF.word(1, 3))
+        words = find_matching_words(LATTICE_HALF, g)
+        assert LATTICE_HALF.word(2, 1) in words and len(words) > 1
+        assert words == tuple(sorted(words, key=lambda w: w.letters))
+
+
+def ratio_product_test(ifs):
+    return _ratio_product_test(*_integer_generators(ifs))
+
+
+class TestRatioProductTest:
+    @pytest.mark.parametrize("ifs", SEARCH_SYSTEMS, ids=range(len(SEARCH_SYSTEMS)))
+    def test_matches_word_enumeration(self, ifs):
+        is_product = ratio_product_test(ifs)
+        ratios = [f.ratio for f in ifs.maps]
+        # products of one to four letters
+        products = {
+            a * b * c * e for a, b, c, e in product(ratios + [F(1)], repeat=4)
+        } - {F(1)}
+        # 1/3 is no product on the ratio-1/2 lattice, 1/2 none on ratio-1/3
+        others = {F(1, 3), F(1, 2), F(2, 3), F(1, 7), F(3, 40), F(5, 12)}
+        for q in sorted(products | others):
+            expected = bool(words_with_ratio_product(ifs, q))
+            assert is_product(q.numerator, q.denominator, WORD_LIMIT) == expected, q
+
+    def test_one_is_the_empty_product_and_above_one_is_not(self):
+        is_product = ratio_product_test(THREE)
+        assert is_product(7, 7, 0)
+        assert not is_product(6, 5, WORD_LIMIT)
+
+    def test_letter_cap(self):
+        is_product = ratio_product_test(LATTICE_HALF)
+        assert is_product(1, 8, 3)
+        assert not is_product(1, 8, 2)
 
 
 class TestCheckEmbedding:
@@ -175,6 +291,16 @@ class TestCheckEmbedding:
         with pytest.raises(ParameterOutOfRange):
             check_embedding(THREE, THREE.maps[0], point_depth=0)
 
+    def test_open_overlap_query_finishes(self):
+        # 1/3 is no product of ratio-1/2 generators, so every branch's word
+        # search dies at its root; without the ratio-product prune this
+        # check takes minutes
+        f = Similitude(F(1, 3), F(1, 5))
+        verdict = check_embedding(
+            LATTICE_HALF, f, point_depth=4, cover_depth=4, branch_depth=5, budget=625
+        )
+        assert verdict == UnknownAtDepth(5)
+
 
 class TestLocatePiece:
     def pieces(self):
@@ -248,6 +374,13 @@ class TestDecompose:
         with pytest.raises(ParameterOutOfRange):
             decompose(THREE, Similitude(F(1), F(0)))
 
+    @pytest.mark.parametrize("depth", ["point_depth", "cover_depth", "branch_depth"])
+    def test_rejects_bad_depths(self, depth):
+        # rejected up front, even where the greedy descent never falls back
+        f = word_map(THREE, THREE.word(2, 3))
+        with pytest.raises(ParameterOutOfRange, match="depths >= 1"):
+            decompose(THREE, f, **{depth: 0})
+
     def test_touching_family_words(self):
         touching = three_map(F(1, 4), F(1, 4))
         w = touching.word(1, 3, 3, 1)
@@ -317,6 +450,11 @@ class TestEnumerate:
         for r in (F(0), F(1), F(-1), F(3, 2)):
             with pytest.raises(ParameterOutOfRange):
                 enumerate_embeddings(THREE, r)
+
+    @pytest.mark.parametrize("depth", ["point_depth", "cover_depth", "branch_depth"])
+    def test_rejects_bad_depths(self, depth):
+        with pytest.raises(ParameterOutOfRange, match="depths >= 1"):
+            enumerate_embeddings(THREE, F(1, 5), **{depth: 0})
 
 
 class TestMirrorReduce:
