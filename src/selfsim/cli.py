@@ -188,7 +188,7 @@ def cmd_cover(args) -> int:
         f"largest gap {format_rational(report.largest_gap)}"
     )
     for part in report.parts:
-        print(f"  [{part.lo}, {part.hi}]")
+        print(f"  {part}")
     if args.svg is not None:
         print(f"svg written to {args.svg}")
     return EXIT_OK
@@ -218,8 +218,8 @@ def _print_verdict(verdict) -> None:
     elif isinstance(verdict, ExcludedWitness):
         print(
             f"excluded: certified point {format_rational(verdict.point)} maps "
-            f"into the gap ({verdict.gap.lo}, {verdict.gap.hi}) "
-            f"at depth {verdict.depth}"
+            f"into the gap ({format_rational(verdict.gap.lo)}, "
+            f"{format_rational(verdict.gap.hi)}) at depth {verdict.depth}"
         )
     elif isinstance(verdict, UnknownAtDepth):
         print(
@@ -312,7 +312,7 @@ def cmd_enumerate(args) -> int:
             kind = verdict_record(verdict)["kind"]
             print(f"  offset {format_rational(f.offset):>10}  {kind}")
         for cand in result.candidates:
-            print(f"  candidate interval [{cand.lo}, {cand.hi}]")
+            print(f"  candidate interval {cand}")
     return EXIT_OK if not result.candidates else EXIT_UNKNOWN
 
 

@@ -9,17 +9,16 @@ Every depth-n cover endpoint lies on the lattice ``Z/(H*D**n)``, where
 ``D`` is the lcm of the ratio and offset denominators and ``H`` the lcm of
 the two hull endpoint denominators: a map ``x -> (a/D)*x + c/D`` sends
 ``Z/S`` into ``Z/(D*S)``.  So each (system, depth) cover is built once, in
-``int`` arithmetic from the depth n-1 cover, and cached as a
-:class:`LatticeSet` together with its largest gap.  That cache is the only
-one: :func:`cover` builds the ``Fraction`` form per call for callers
-outside the engine, and the engine reads :func:`lattice_cover` directly.
+``int`` arithmetic from the depth n-1 cover, and kept as a
+:class:`LatticeSet` with its largest gap in the system's own memo, which
+dies with the system.  :func:`cover` builds the ``Fraction`` form per call
+for callers outside the engine; the engine reads :func:`lattice_cover`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .errors import BudgetExceeded, ParameterOutOfRange, SelfsimError, UntaggedFamily
@@ -32,6 +31,10 @@ DEFAULT_BUDGET = 10**6
 def _check_depth(m: int, depth: int, budget: int) -> None:
     if depth < 0:
         raise ParameterOutOfRange("depth >= 0 violated")
+    if depth > budget.bit_length():
+        # m >= 2, so m**depth > budget; a long count is left as a power
+        short = depth * m.bit_length() <= 4096
+        raise BudgetExceeded(m**depth if short else f"{m}**{depth}", budget)
     count = m**depth
     if count > budget:
         raise BudgetExceeded(count, budget)
@@ -47,19 +50,27 @@ class CoverReport:
     largest_gap: Fraction
 
 
-@lru_cache(maxsize=None)
-def _cover_lattice(ifs: IFS, depth: int) -> tuple[LatticeSet, Fraction]:
-    """The depth-n cover on its lattice, and its largest gap."""
-    if depth == 0:
+def _integer_generators(ifs: IFS) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(d, ((a_1, c_1), ...))`` with φ_i(x) = (a_i*x + c_i)/d, where d is
+    the lcm of the generator ratio and offset denominators; built once per
+    system."""
+    if "gens" not in ifs._memo:
+        d = lcm(*(x.denominator for f in ifs.maps for x in (f.ratio, f.offset)))
+        gens = tuple((int(f.ratio * d), int(f.offset * d)) for f in ifs.maps)
+        ifs._memo["gens"] = d, gens
+    return ifs._memo["gens"]
+
+
+def _next_cover(ifs: IFS, prev: LatticeSet | None) -> LatticeSet:
+    """The cover one depth below ``prev``; the hull when ``prev`` is None."""
+    if prev is None:
         scale = lcm(ifs.hull.lo.denominator, ifs.hull.hi.denominator)
-        return LatticeSet.from_set(IntervalSet((ifs.hull,)), scale), Fraction(0)
-    prev, _ = _cover_lattice(ifs, depth - 1)
-    d = lcm(*(x.denominator for f in ifs.maps for x in (f.ratio, f.offset)))
+        return LatticeSet.from_set(IntervalSet((ifs.hull,)), scale)
+    d, gens = _integer_generators(ifs)
     pieces: list[tuple[int, int]] = []
-    for f in ifs.maps:
-        r = f.ratio.numerator * (d // f.ratio.denominator)
-        t = f.offset.numerator * (d // f.offset.denominator) * prev.scale
-        pieces.extend(zip([r * x + t for x in prev.los], [r * x + t for x in prev.his]))
+    for a, c in gens:
+        t = c * prev.scale
+        pieces.extend(zip([a * x + t for x in prev.los], [a * x + t for x in prev.his]))
     # each map's image is a sorted run, which the sort merges cheaply
     pieces.sort()
     los: list[int] = []
@@ -71,8 +82,18 @@ def _cover_lattice(ifs: IFS, depth: int) -> tuple[LatticeSet, Fraction]:
         else:
             los.append(lo)
             his.append(hi)
-    parts = LatticeSet(prev.scale * d, tuple(los), tuple(his))
-    return parts, parts.largest_gap()
+    return LatticeSet(prev.scale * d, tuple(los), tuple(his))
+
+
+def _cover_lattice(ifs: IFS, depth: int) -> tuple[LatticeSet, Fraction]:
+    """The depth-n cover on its lattice, and its largest gap; each depth is
+    built once, from the one above, into the system's memo."""
+    covers = ifs._memo.setdefault("covers", {})
+    for n in range(depth + 1):
+        if n not in covers:
+            parts = _next_cover(ifs, covers[n - 1][0] if n else None)
+            covers[n] = parts, parts.largest_gap()
+    return covers[depth]
 
 
 def lattice_cover(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> LatticeSet:
@@ -99,24 +120,17 @@ def cover(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> CoverReport:
     )
 
 
-@lru_cache(maxsize=None)
 def _points_upto(ifs: IFS, depth: int) -> tuple[Fraction, ...]:
-    if depth == 0:
-        level = {f.fixed_point for f in ifs.maps}
-        return tuple(sorted(level))
-    acc = set(_points_upto(ifs, depth - 1))
-    # images of the previous shell are exactly the new word images
-    shell = _shell(ifs, depth)
-    acc.update(shell)
-    return tuple(sorted(acc))
-
-
-@lru_cache(maxsize=None)
-def _shell(ifs: IFS, depth: int) -> frozenset[Fraction]:
-    if depth == 0:
-        return frozenset(f.fixed_point for f in ifs.maps)
-    prev = _shell(ifs, depth - 1)
-    return frozenset(f(x) for f in ifs.maps for x in prev)
+    """Sorted fixed points and their images under words of length <= depth;
+    depth n holds the fixed points and the images of depth n-1."""
+    levels = ifs._memo.setdefault("points", {})
+    for n in range(depth + 1):
+        if n not in levels:
+            acc = {f.fixed_point for f in ifs.maps}
+            if n:
+                acc.update(f(x) for f in ifs.maps for x in levels[n - 1])
+            levels[n] = tuple(sorted(acc))
+    return levels[depth]
 
 
 def exact_points(

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterator, Sequence
 
-from .cover import DEFAULT_BUDGET, exact_points, lattice_cover
+from .cover import DEFAULT_BUDGET, _integer_generators, exact_points, lattice_cover
 from .errors import (
     EmptySet,
     HypothesisViolated,
@@ -39,14 +38,11 @@ from .similitudes import (
     IDENTITY,
     IFS,
     Similitude,
-    SymmetricCertified,
     UnknownAtDepth,
     Word,
-    is_symmetric,
+    certified_reflection,
     mirror,
     mirror_word,
-    reflection_about,
-    word_map,
 )
 
 POINT_DEPTH = 4
@@ -116,19 +112,6 @@ INCLUDED_KINDS = (IncludedWord, IncludedReflectedWord, IncludedCylinderExchange)
 # -- word matching ----------------------------------------------------------
 
 
-def _integer_generators(ifs: IFS) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """``(d, ((a_1, c_1), ...))`` with φ_i(x) = (a_i*x + c_i)/d, where d is
-    the lcm of the generator ratio and offset denominators."""
-    d = lcm(*(x.denominator for f in ifs.maps for x in (f.ratio, f.offset)))
-    return d, tuple(
-        (
-            f.ratio.numerator * (d // f.ratio.denominator),
-            f.offset.numerator * (d // f.offset.denominator),
-        )
-        for f in ifs.maps
-    )
-
-
 def _ratio_product_test(
     d: int, gens: Sequence[tuple[int, int]]
 ) -> Callable[[int, int, int], bool]:
@@ -179,11 +162,10 @@ def _matching_words(ifs: IFS, g: Similitude, limit: int = WORD_LIMIT) -> Iterato
     is_product = _ratio_product_test(d, gens)
     rn, rd = g.ratio.numerator, g.ratio.denominator
     tn, td = g.offset.numerator, g.offset.denominator
-    # hull = [L/H, U/H]; g(hull) = [GL, GU]/(H*rd*td), and since φ_u is
-    # increasing, φ_u(hull) = [A*L + C*H, A*U + C*H]/(H*D)
-    lo, hi = ifs.hull.lo, ifs.hull.hi
-    H = lcm(lo.denominator, hi.denominator)
-    L, U = lo.numerator * (H // lo.denominator), hi.numerator * (H // hi.denominator)
+    # hull = [L/H, U/H], the depth-0 cover; g(hull) = [GL, GU]/(H*rd*td),
+    # and since φ_u is increasing, φ_u(hull) = [A*L + C*H, A*U + C*H]/(H*D)
+    hull = lattice_cover(ifs, 0)
+    H, L, U = hull.scale, hull.los[0], hull.his[0]
     E = rd * td
     GL, GU = rn * L * td + tn * rd * H, rn * U * td + tn * rd * H
 
@@ -313,24 +295,7 @@ def check_embedding(
     if not 0 < abs(f.ratio) < 1:
         raise ParameterOutOfRange("0 < |ratio| < 1 violated")
     _check_depths(point_depth, cover_depth, branch_depth)
-    return _check_embedding_cached(
-        ifs, f, point_depth, cover_depth, branch_depth, budget
-    )
-
-
-@lru_cache(maxsize=4096)
-def _check_embedding_cached(
-    ifs: IFS,
-    f: Similitude,
-    point_depth: int,
-    cover_depth: int,
-    branch_depth: int,
-    budget: int,
-) -> EmbeddingVerdict:
-    sym = is_symmetric(ifs)
-    sigma = (
-        reflection_about(sym.center) if isinstance(sym, SymmetricCertified) else None
-    )
+    sigma = certified_reflection(ifs)
     root_pts = exact_points(ifs, point_depth, budget)
     branch_pts = exact_points(ifs, min(point_depth, 1), budget)
     covers = [lattice_cover(ifs, n, budget) for n in range(cover_depth + 1)]
@@ -370,8 +335,7 @@ def _check_embedding_cached(
     if len(pairs) == 1 and not pairs[0].branch.letters:
         root = pairs[0]
         if root.reflected:
-            assert sigma is not None
-            return IncludedReflectedWord(root.target, sigma.offset / 2)
+            return IncludedReflectedWord(root.target, ifs.center)
         return IncludedWord(root.target)
     return IncludedCylinderExchange(tuple(pairs))
 
@@ -436,6 +400,8 @@ def decompose(
     if not 0 < abs(f.ratio) < 1:
         raise ParameterOutOfRange("0 < |ratio| < 1 violated")
     _check_depths(point_depth, cover_depth, branch_depth)
+    if max_steps < 1:
+        raise ParameterOutOfRange("max_steps >= 1 violated")
     hull = ifs.hull
 
     def fallback() -> EmbeddingVerdict:
@@ -450,11 +416,8 @@ def decompose(
             word = Word(ifs.arity, tuple(letters))
             if g == IDENTITY:
                 return IncludedWord(word)
-            sym = is_symmetric(ifs)
-            if isinstance(sym, SymmetricCertified) and g == reflection_about(
-                sym.center
-            ):
-                return IncludedReflectedWord(word, sym.center)
+            if g == certified_reflection(ifs):
+                return IncludedReflectedWord(word, ifs.center)
             return fallback()
         image = g.map_interval(hull)
         cands = [

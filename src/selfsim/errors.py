@@ -32,7 +32,7 @@ class AlphabetMismatch(SelfsimError):
 class BudgetExceeded(SelfsimError):
     """A cylinder enumeration would exceed the configured budget."""
 
-    def __init__(self, requested: int, budget: int):
+    def __init__(self, requested: int | str, budget: int):
         super().__init__(f"cylinder count {requested} exceeds budget {budget}")
         self.requested = requested
         self.budget = budget

@@ -130,6 +130,8 @@ def parse_ifs_file(path: str) -> IFS:
             text = handle.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_ifs(text)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import SelfsimError
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` (or a bare integer ``"p"``) into a Fraction."""
@@ -21,10 +23,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Render a Fraction as ``p/q``, or ``p`` when the denominator is 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Render a Fraction as ``p/q``, or ``p`` when the denominator is 1;
+    SelfsimError when a part exceeds ``sys.get_int_max_str_digits()``."""
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise SelfsimError(f"rational too long to print: {exc}") from exc
 
 
 def iroot(n: int, q: int) -> int:

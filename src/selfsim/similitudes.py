@@ -109,11 +109,15 @@ class IFS:
     the smallest and largest fixed points of the generators.  ``family``
     tags systems built by the named constructors; hand-built systems are
     untagged.
+
+    ``_memo`` holds what the engine derives from the system (covers,
+    points, integer generators, mirror), so it lives as long as the system.
     """
 
     maps: tuple[Similitude, ...]
     family: str | None = None
     hull: Interval = field(init=False, compare=False)
+    _memo: dict = field(init=False, compare=False, repr=False)
 
     def __init__(self, maps, family: str | None = None):
         object.__setattr__(self, "maps", tuple(maps))
@@ -125,6 +129,7 @@ class IFS:
                 raise ParameterOutOfRange(f"0 < ratio < 1 violated by map {f}")
         fixed = [f.fixed_point for f in self.maps]
         object.__setattr__(self, "hull", Interval(min(fixed), max(fixed)))
+        object.__setattr__(self, "_memo", {})
 
     @property
     def arity(self) -> int:
@@ -240,13 +245,23 @@ def four_map_example() -> IFS:
 def mirror(ifs: IFS) -> tuple[IFS, Similitude]:
     """Conjugate every generator by the hull reflection and re-sort.
 
-    Returns the mirrored system and the reflection.  Family tags survive:
-    mirrored instances stay inside their family's parameter range.
+    Returns the mirrored system and the reflection, built once per system.
+    Family tags survive: mirrored instances stay inside their family's
+    parameter range.
     """
-    sigma = ifs.reflection()
-    conjugated = [sigma.compose(f).compose(sigma) for f in ifs.maps]
-    conjugated.sort(key=lambda f: f(ifs.hull.lo))
-    return IFS(tuple(conjugated), family=ifs.family), sigma
+    if "mirror" not in ifs._memo:
+        sigma = ifs.reflection()
+        conjugated = [sigma.compose(f).compose(sigma) for f in ifs.maps]
+        conjugated.sort(key=lambda f: f(ifs.hull.lo))
+        ifs._memo["mirror"] = IFS(tuple(conjugated), family=ifs.family), sigma
+    return ifs._memo["mirror"]
+
+
+def certified_reflection(ifs: IFS) -> Similitude | None:
+    """The hull reflection when the system coincides map-for-map with its
+    mirror, which certifies the attractor symmetric; None otherwise."""
+    mirrored, sigma = mirror(ifs)
+    return sigma if mirrored.maps == ifs.maps else None
 
 
 # -- symmetry ---------------------------------------------------------------
@@ -289,8 +304,7 @@ def is_symmetric(ifs: IFS, depth: int = 2) -> SymmetryVerdict:
     that lands strictly inside a gap of the depth-``depth`` cover; the
     center is forced, since any symmetry must exchange the hull endpoints.
     """
-    mirrored, _sigma = mirror(ifs)
-    if mirrored.maps == ifs.maps:
+    if certified_reflection(ifs) is not None:
         return SymmetricCertified(center=ifs.center)
 
     from .cover import cover, exact_points

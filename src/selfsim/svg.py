@@ -58,7 +58,7 @@ def render_strip(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> str:
             out.append(
                 f'<rect x="{x0}" y="{bar_top}" width="{max(w, 0.5):.3f}" '
                 f'height="{BAR_HEIGHT}" fill="{BAR_FILL}">'
-                f"<title>[{part.lo}, {part.hi}]</title></rect>"
+                f"<title>{part}</title></rect>"
             )
         if n == 1 and ifs.family == "three-map":
             # index gaps by the family's map order, not the merged cover,

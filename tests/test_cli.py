@@ -1,7 +1,10 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from selfsim.cli import main
 from selfsim.ifsfile import parse_ifs, serialize_ifs
@@ -246,7 +249,157 @@ class TestErrorsAndBudget:
         assert main(argv + [flag, "0"]) == 2
         assert "depths >= 1 violated" in capsys.readouterr().err
 
+    def test_binary_spec_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bin.ifs"
+        path.write_bytes(b"m=3\n\xff\xfe 1/5 0\n")
+        assert main(["check", str(path), "1/5", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err
+
+    def test_huge_point_depth_fails_fast(self, three_spec, capsys):
+        start = time.perf_counter()
+        code = main(["check", three_spec, "1/5", "0", "--point-depth", "100000000"])
+        assert code == 3
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert "cylinder count 3**100000000 exceeds budget 1000000" in err
+
+    def test_huge_cover_depth_fails_fast(self, three_spec, capsys):
+        # the shallower covers are built, within the budget, before the
+        # first depth over it is refused
+        start = time.perf_counter()
+        argv = ["check", three_spec, "1/5", "0", "--cover-depth", "100000000"]
+        assert main(argv + ["--budget", "1000"]) == 3
+        assert time.perf_counter() - start < 0.5
+        assert "cylinder count 2187 exceeds budget 1000" in capsys.readouterr().err
+
+    def test_budget_message_keeps_ordinary_counts(self, three_spec, capsys):
+        assert main(["cover", three_spec, "--depth", "30", "--budget", "10"]) == 3
+        assert f"cylinder count {3**30} exceeds budget 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_nonpositive_max_steps_is_usage_error(self, three_spec, capsys, steps):
+        code = main(["decompose", three_spec, "1/25", "23/50", "--max-steps", steps])
+        assert code == 2
+        assert "max_steps >= 1 violated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "record"])
+    def test_unprintable_rational_is_usage_error(self, tmp_path, capsys, fmt):
+        # depth-8 endpoints carry the 700-digit ratio denominator to the
+        # 8th power, past the interpreter's int-to-str digit limit
+        path = tmp_path / "long.ifs"
+        path.write_text(f"m=2\n1/{10**700 + 1} 0\n1/3 2/3\n", encoding="utf-8")
+        assert main(["cover", str(path), "--depth", "8", "--format", fmt]) == 2
+        assert "too long to print" in capsys.readouterr().err
+
     def test_bad_env(self, three_spec, capsys, monkeypatch):
         monkeypatch.setenv("SELFSIM_BUDGET", "lots")
         assert main(["cover", three_spec]) == 2
         assert "SELFSIM_BUDGET" in capsys.readouterr().err
+
+
+# -- exit contract ----------------------------------------------------------
+
+
+def _fraction_text(p, q):
+    return f"{p}/{q}"
+
+
+SMALL_RATIONALS = st.builds(_fraction_text, st.integers(-3, 12), st.integers(1, 12))
+CONTRACTIONS = st.builds(_fraction_text, st.integers(1, 4), st.integers(5, 12))
+LARGE_DENOMINATORS = st.builds(
+    lambda p, k: f"{p}/{10**k + 1}", st.integers(1, 10**6), st.sampled_from([12, 40, 700])
+)
+JUNK = st.sampled_from(["", "x", "1/0", "1/2/3", "--", "m=2", "٣/٧"])
+
+
+@st.composite
+def spec_bytes(draw):
+    """Spec file contents: raw bytes, malformed map lists, free maps (with
+    large denominators), degenerate hulls, overlapping or touching
+    equal-ratio maps, and family headers with random parameters."""
+    kind = draw(st.sampled_from(
+        ["bytes", "malformed", "maps", "maps", "degenerate", "overlap", "overlap",
+         "family"]
+    ))
+    if kind == "bytes":
+        return draw(st.binary(max_size=80))
+    header = ""
+    m = None
+    if kind == "malformed":
+        text = st.one_of(SMALL_RATIONALS, JUNK)
+        maps = draw(st.lists(st.tuples(text, text), min_size=1, max_size=4))
+        m = draw(st.sampled_from([len(maps), 0, -1, 7]))
+    elif kind == "maps":
+        offset = st.one_of(SMALL_RATIONALS, LARGE_DENOMINATORS)
+        ratio = st.one_of(CONTRACTIONS, LARGE_DENOMINATORS)
+        maps = draw(st.lists(st.tuples(ratio, offset), min_size=2, max_size=4))
+    elif kind == "degenerate":
+        # every map fixes p, so the hull is the single point p
+        p = F(draw(st.integers(-2, 6)), draw(st.integers(1, 6)))
+        ratios = draw(st.lists(st.sampled_from([F(1, 2), F(1, 3), F(1, 5)]),
+                               min_size=2, max_size=3))
+        maps = [(str(r), str(p * (1 - r))) for r in ratios]
+    elif kind == "overlap":
+        # a step below the ratio overlaps, a step equal to it touches
+        r = draw(st.sampled_from([F(1, 2), F(1, 3), F(1, 4)]))
+        step = draw(st.sampled_from([F(1, 8), F(1, 6), F(1, 4), F(1, 3)]))
+        maps = [(str(r), str(i * step)) for i in range(draw(st.integers(2, 4)))]
+    else:
+        params = draw(st.lists(SMALL_RATIONALS, min_size=2, max_size=2))
+        header = " " + draw(st.sampled_from([
+            f"family=three-map rho={params[0]} lambda={params[1]}",
+            f"family=equal-gap ratios={params[0]},{params[1]}",
+            f"family=two-map alpha={params[0]} beta={params[1]}",
+            f"family=grid beta={params[0]}",
+            "family=four-map-example",
+            "family=nonesuch",
+        ]))
+        maps = draw(st.lists(st.tuples(SMALL_RATIONALS, SMALL_RATIONALS),
+                             min_size=2, max_size=4))
+    lines = [f"m={len(maps) if m is None else m}{header}"]
+    lines += [f"{r} {t}" for r, t in maps]
+    return "\n".join(lines).encode("utf-8")
+
+
+MAP_RATIOS = st.sampled_from(
+    ["1/2", "-1/2", "1/3", "-1/3", "1/4", "1/5", "-1/5", "1/9", "1/25", "2/3",
+     "1/10", "-1/100", "0", "1", "-1", "3/2"]
+)
+DEPTHS = st.sampled_from(["2", "4", "1", "3", "8", "100000000", "0", "-1"])
+# the check_embedding branch tree is not yet metered by the budget, so
+# branch depths stay at most 3 to keep every case quick
+BRANCH_DEPTHS = st.sampled_from(["2", "3", "1", "0"])
+
+
+@st.composite
+def command_args(draw, path):
+    command = draw(st.sampled_from(["check", "decompose", "enumerate", "cover"]))
+    common = ["--budget", draw(st.sampled_from(["4096", "100", "0"])),
+              "--format", draw(st.sampled_from(["text", "record"]))]
+    if command == "cover":
+        return ["cover", path, "--depth", draw(DEPTHS)] + common
+    engine = ["--point-depth", draw(DEPTHS), "--cover-depth", draw(DEPTHS),
+              "--branch-depth", draw(BRANCH_DEPTHS)]
+    if command == "enumerate":
+        return ["enumerate", path, "--ratio", draw(MAP_RATIOS)] + engine + common
+    offset = draw(st.one_of(SMALL_RATIONALS, st.just("-1/5")))
+    args = [command, path, draw(MAP_RATIOS), offset] + engine + common
+    if command == "decompose":
+        args += ["--max-steps", draw(st.sampled_from(["64", "2", "1", "0", "-1"]))]
+    return args
+
+
+class TestExitContract:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(spec=spec_bytes(), data=st.data())
+    def test_every_input_gets_a_contract_exit_code(self, tmp_path, spec, data):
+        path = tmp_path / "fuzz.ifs"
+        path.write_bytes(spec)
+        argv = data.draw(command_args(str(path)))
+        code = main(argv)
+        assert type(code) is int and 0 <= code <= 4

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction as F
 
@@ -6,14 +7,12 @@ import pytest
 from selfsim.cli import main
 from selfsim.cover import (
     DEFAULT_BUDGET,
-    _cover_lattice,
     cover,
     exact_points,
     family_gap,
     lattice_cover,
     stable_gap_check,
 )
-from selfsim.embedding import _check_embedding_cached
 from selfsim.errors import (
     BudgetExceeded,
     ParameterOutOfRange,
@@ -123,19 +122,36 @@ class TestLatticeKernel:
 
     def test_budget_checked_before_build(self):
         ifs = three_map(F(1, 7), F(2, 7))
-        _cover_lattice.cache_clear()
         with pytest.raises(BudgetExceeded):
             lattice_cover(ifs, 9, budget=3**8)
-        assert _cover_lattice.cache_info().currsize == 0
+        with pytest.raises(BudgetExceeded):
+            exact_points(ifs, 9, budget=3**8)
+        assert "covers" not in ifs._memo and "points" not in ifs._memo
 
-    def test_example_builds_each_cover_once(self, capsys):
+    def test_example_builds_each_cover_once(self, capsys, monkeypatch):
         """verify-paper --only example1_4 builds the four-map covers of
         depths 0..8 once each, however often it reads them."""
-        _cover_lattice.cache_clear()
-        _check_embedding_cached.cache_clear()
+        # the package attribute selfsim.cover is the function cover, so
+        # the modules are fetched by their import path
+        cover_module = importlib.import_module("selfsim.cover")
+        verify_module = importlib.import_module("selfsim.verify")
+        systems, built = [], []
+        build = cover_module._next_cover
+
+        def make_system():
+            systems.append(four_map_example())
+            return systems[-1]
+
+        def counting_build(ifs, prev):
+            built.append(ifs)
+            return build(ifs, prev)
+
+        monkeypatch.setattr(verify_module, "four_map_example", make_system)
+        monkeypatch.setattr(cover_module, "_next_cover", counting_build)
         assert main(["verify-paper", "--only", "example1_4"]) == 0
-        info = _cover_lattice.cache_info()
-        assert info.misses == info.currsize == 9
+        assert len(systems) == 1
+        assert len(systems[0]._memo["covers"]) == 9
+        assert len(built) == 9 and all(ifs is systems[0] for ifs in built)
 
 
 class TestExactPoints:

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction as F
 from itertools import product
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfsim.cover import cover, exact_points
+from selfsim.cover import _integer_generators, cover, exact_points
 from selfsim.embedding import (
     WORD_LIMIT,
     EnumerationResult,
@@ -23,7 +25,7 @@ from selfsim.embedding import (
     mirror_reduce,
     verdict_record,
 )
-from selfsim.embedding import _integer_generators, _ratio_product_test
+from selfsim.embedding import _ratio_product_test
 from selfsim.errors import (
     EmptySet,
     HypothesisViolated,
@@ -374,6 +376,12 @@ class TestDecompose:
         with pytest.raises(ParameterOutOfRange):
             decompose(THREE, Similitude(F(1), F(0)))
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_rejects_nonpositive_steps(self, steps):
+        f = word_map(THREE, THREE.word(2, 3))
+        with pytest.raises(ParameterOutOfRange, match="max_steps >= 1"):
+            decompose(THREE, f, max_steps=steps)
+
     @pytest.mark.parametrize("depth", ["point_depth", "cover_depth", "branch_depth"])
     def test_rejects_bad_depths(self, depth):
         # rejected up front, even where the greedy descent never falls back
@@ -539,3 +547,27 @@ class TestRecords:
         assert [c["offset"] for c in rec["certified"]] == ["0", "3/10", "4/5"]
         assert rec["candidates"] == []
         assert rec["point_depth"] == 4 and rec["cover_depth"] == 8
+
+
+class TestSystemMemo:
+    def test_derived_data_dies_with_the_system(self):
+        # a fresh system, so no module-level object holds it
+        ifs = three_map(F(1, 5), F(2, 5))
+        assert isinstance(check_embedding(ifs, ifs.maps[1]), IncludedWord)
+        assert enumerate_embeddings(ifs, F(-1, 5)).certified
+        assert ifs._memo["covers"] and ifs._memo["points"]
+        ref = weakref.ref(ifs)
+        del ifs
+        gc.collect()
+        assert ref() is None
+
+    def test_memo_is_not_part_of_equality_or_hash(self):
+        fresh = three_map(F(1, 5), F(3, 10))
+        cover(THREE, 3)
+        assert fresh == THREE and hash(fresh) == hash(THREE)
+        assert "_memo" not in repr(THREE)
+
+    def test_equal_systems_give_equal_answers(self):
+        fresh = four_map_example()
+        assert check_embedding(fresh, G1) == check_embedding(FOUR, G1)
+        assert len(fresh._memo["covers"]) == 9

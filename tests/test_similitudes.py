@@ -11,6 +11,7 @@ from selfsim.similitudes import (
     Similitude,
     SymmetricCertified,
     Word,
+    certified_reflection,
     equal_gap,
     four_map_example,
     homogeneous_grid,
@@ -183,6 +184,10 @@ class TestMirror:
         mirrored, _ = mirror(ifs)
         assert mirror(mirrored)[0] == ifs
 
+    def test_mirror_built_once_per_system(self):
+        ifs = three_map(F(1, 5), F(1, 2))
+        assert mirror(ifs) is mirror(ifs)
+
     def test_equal_gap_mirror_reverses_ratios(self):
         ifs = equal_gap((F(1, 4), F(1, 3)))
         mirrored, _ = mirror(ifs)
@@ -191,6 +196,10 @@ class TestMirror:
 
 
 class TestSymmetry:
+    def test_certified_reflection(self):
+        assert certified_reflection(four_map_example()) == reflection_about(F(1, 3))
+        assert certified_reflection(three_map(F(1, 5), F(3, 10))) is None
+
     def test_symmetric_three_map_certified(self):
         verdict = is_symmetric(three_map(F(1, 5), F(2, 5)))
         assert verdict == SymmetricCertified(center=F(1, 2))
