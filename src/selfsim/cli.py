@@ -20,6 +20,7 @@ from .embedding import (
     COVER_DEPTH,
     MAX_STEPS,
     POINT_DEPTH,
+    Depths,
     ExcludedWitness,
     IncludedCylinderExchange,
     IncludedReflectedWord,
@@ -36,7 +37,6 @@ from .rationals import format_rational, parse_rational
 from .similitudes import Similitude, UnknownAtDepth, word_map
 from .svg import render_strip
 from .verify import (
-    Depths,
     Grid,
     TwoMap,
     perturb_expected,
@@ -149,7 +149,9 @@ def _resolve_budget(args) -> int:
 
 
 def _depths(args) -> Depths:
-    return Depths(args.point_depth, args.cover_depth, args.branch_depth)
+    return Depths(
+        args.point_depth, args.cover_depth, args.branch_depth, _resolve_budget(args)
+    )
 
 
 def _emit(record: dict) -> None:
@@ -230,11 +232,9 @@ def _print_verdict(verdict) -> None:
 
 def cmd_check(args) -> int:
     ifs = parse_ifs_file(args.file)
-    budget = _resolve_budget(args)
+    depths = _depths(args)
     f = Similitude(args.ratio, args.offset)
-    verdict = check_embedding(
-        ifs, f, args.point_depth, args.cover_depth, args.branch_depth, budget
-    )
+    verdict = check_embedding(ifs, f, *depths)
     if args.format == "record":
         _emit(
             {
@@ -251,17 +251,9 @@ def cmd_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     ifs = parse_ifs_file(args.file)
-    budget = _resolve_budget(args)
+    depths = _depths(args)
     f = Similitude(args.ratio, args.offset)
-    verdict = decompose(
-        ifs,
-        f,
-        args.max_steps,
-        args.point_depth,
-        args.cover_depth,
-        args.branch_depth,
-        budget,
-    )
+    verdict = decompose(ifs, f, args.max_steps, *depths)
     if args.format == "record":
         _emit(
             {
@@ -291,15 +283,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_enumerate(args) -> int:
     ifs = parse_ifs_file(args.file)
-    budget = _resolve_budget(args)
-    result = enumerate_embeddings(
-        ifs,
-        args.ratio,
-        args.point_depth,
-        args.cover_depth,
-        args.branch_depth,
-        budget,
-    )
+    result = enumerate_embeddings(ifs, args.ratio, *_depths(args))
     if args.format == "record":
         _emit({"command": "enumerate", **enumeration_record(result)})
     else:
@@ -316,36 +300,32 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK if not result.candidates else EXIT_UNKNOWN
 
 
-def _paper_reports(depths: Depths, budget: int):
+def _paper_reports(depths: Depths):
     yield "thm1_1i", lambda: verify_three_map(
-        Fraction(1, 5), Fraction(3, 10), 2, depths, budget
+        Fraction(1, 5), Fraction(3, 10), 2, depths
     )
     yield "thm1_1ii", lambda: verify_three_map(
-        Fraction(1, 5), Fraction(2, 5), 2, depths, budget
+        Fraction(1, 5), Fraction(2, 5), 2, depths
     )
     yield "thm1_1i", lambda: verify_three_map(
-        Fraction(1, 5), Fraction(1, 2), 1, depths, budget
+        Fraction(1, 5), Fraction(1, 2), 1, depths
     )
     yield "thm1_2", lambda: verify_equal_gap(
-        (Fraction(1, 4), Fraction(1, 3)), 2, depths, budget
+        (Fraction(1, 4), Fraction(1, 3)), 2, depths
     )
     yield "thm1_2", lambda: verify_equal_gap(
-        (Fraction(1, 4), Fraction(1, 4)), 2, depths, budget
+        (Fraction(1, 4), Fraction(1, 4)), 2, depths
     )
     yield "cor1_3i", lambda: verify_corollary(
-        TwoMap(Fraction(1, 4), Fraction(1, 3)), 2, depths, budget
+        TwoMap(Fraction(1, 4), Fraction(1, 3)), 2, depths
     )
-    yield "cor1_3ii", lambda: verify_corollary(
-        Grid(Fraction(1, 4), 3), 2, depths, budget
-    )
-    yield "example1_4", lambda: verify_example_four_map(depths, budget)
+    yield "cor1_3ii", lambda: verify_corollary(Grid(Fraction(1, 4), 3), 2, depths)
+    yield "example1_4", lambda: verify_example_four_map(depths)
 
 
 def cmd_verify_paper(args) -> int:
-    budget = _resolve_budget(args)
-    depths = _depths(args)
     reports = []
-    for key, run in _paper_reports(depths, budget):
+    for key, run in _paper_reports(_depths(args)):
         if args.only is not None and key != args.only:
             continue
         reports.append(run())
@@ -365,8 +345,12 @@ def cmd_verify_paper(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits on a usage error (2) and after --help (0); an
+        # in-process caller gets the code, as for every other outcome
+        return exc.code
     try:
         return args.func(args)
     except (BudgetExceeded, StepBudgetExceeded) as exc:

@@ -145,7 +145,7 @@ def exact_points(
     return _points_upto(ifs, depth)
 
 
-def family_gap(ifs: IFS, budget: int = DEFAULT_BUDGET) -> Fraction:
+def family_gap(ifs: IFS) -> Fraction:
     """Closed-form largest gap of the attractor for tagged families.
 
     The formula route is independent of the cover route on purpose;

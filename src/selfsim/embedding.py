@@ -21,9 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .cover import DEFAULT_BUDGET, _integer_generators, exact_points, lattice_cover
+from .cover import (
+    DEFAULT_BUDGET,
+    _check_depth,
+    _cover_lattice,
+    _integer_generators,
+    exact_points,
+    lattice_cover,
+)
 from .errors import (
     EmptySet,
     HypothesisViolated,
@@ -50,6 +57,17 @@ COVER_DEPTH = 8
 BRANCH_DEPTH = 6
 MAX_STEPS = 64
 WORD_LIMIT = 64
+
+
+class Depths(NamedTuple):
+    """The engine's depths and work budget, in the positional order of
+    ``check_embedding`` and ``enumerate_embeddings`` (and of ``decompose``
+    after ``max_steps``), so a caller passes ``*depths``."""
+
+    point_depth: int = POINT_DEPTH
+    cover_depth: int = COVER_DEPTH
+    branch_depth: int = BRANCH_DEPTH
+    budget: int = DEFAULT_BUDGET
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -298,7 +316,10 @@ def check_embedding(
     sigma = certified_reflection(ifs)
     root_pts = exact_points(ifs, point_depth, budget)
     branch_pts = exact_points(ifs, min(point_depth, 1), budget)
-    covers = [lattice_cover(ifs, n, budget) for n in range(cover_depth + 1)]
+    # refuse the first depth over the budget before any cover is built
+    for n in range(cover_depth + 1):
+        _check_depth(ifs.arity, n, budget)
+    covers = [_cover_lattice(ifs, n)[0] for n in range(cover_depth + 1)]
 
     pairs: list[ExchangePair] = []
 

@@ -81,10 +81,6 @@ class IntervalSet:
         object.__setattr__(obj, "parts", parts)
         return obj
 
-    @classmethod
-    def point(cls, x: Fraction) -> "IntervalSet":
-        return cls((Interval(x, x),))
-
     def __bool__(self) -> bool:
         return bool(self.parts)
 

@@ -14,12 +14,10 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cover import DEFAULT_BUDGET, cover
+from .cover import cover
 from .embedding import (
-    BRANCH_DEPTH,
-    COVER_DEPTH,
     MAX_STEPS,
-    POINT_DEPTH,
+    Depths,
     EmbeddingVerdict,
     ExchangePair,
     IncludedCylinderExchange,
@@ -55,13 +53,6 @@ class TheoremId(enum.Enum):
     Cor1_3i = "Cor1_3i"
     Cor1_3ii = "Cor1_3ii"
     Example1_4 = "Example1_4"
-
-
-@dataclass(frozen=True)
-class Depths:
-    point_depth: int = POINT_DEPTH
-    cover_depth: int = COVER_DEPTH
-    branch_depth: int = BRANCH_DEPTH
 
 
 @dataclass(frozen=True)
@@ -143,16 +134,8 @@ def _enumerate_row(
     ratio: Fraction,
     expected,
     depths: Depths,
-    budget: int,
 ) -> tuple[InventoryRow, list[Check], list[tuple[Similitude, EmbeddingVerdict]]]:
-    result = enumerate_embeddings(
-        ifs,
-        ratio,
-        depths.point_depth,
-        depths.cover_depth,
-        depths.branch_depth,
-        budget,
-    )
+    result = enumerate_embeddings(ifs, ratio, *depths)
     row = InventoryRow(
         exponent=exponent,
         ratio=ratio,
@@ -166,27 +149,17 @@ def _enumerate_row(
                 f"resolved at {row.label}",
                 False,
                 f"{len(result.candidates)} unresolved candidates; "
-                "raise point/cover/branch depths "
-                f"beyond ({depths.point_depth}, {depths.cover_depth}, "
-                f"{depths.branch_depth})",
+                f"raise point/cover/branch depths beyond {depths[:3]}",
             )
         )
     return row, checks, list(result.certified)
 
 
-def _cross_check(ifs: IFS, certified, depths: Depths, budget: int) -> Check:
+def _cross_check(ifs: IFS, certified, depths: Depths) -> Check:
     """decompose and check_embedding must agree on the verdict kind for
     every certified map."""
     for f, verdict in certified:
-        alt = decompose(
-            ifs,
-            f,
-            MAX_STEPS,
-            depths.point_depth,
-            depths.cover_depth,
-            depths.branch_depth,
-            budget,
-        )
+        alt = decompose(ifs, f, MAX_STEPS, *depths)
         if type(alt) is not type(verdict):
             return Check(
                 "decompose agrees with check_embedding",
@@ -202,11 +175,7 @@ def _cross_check(ifs: IFS, certified, depths: Depths, budget: int) -> Check:
 
 
 def verify_three_map(
-    rho,
-    lam,
-    k_max: int = 2,
-    depths: Depths = Depths(),
-    budget: int = DEFAULT_BUDGET,
+    rho, lam, k_max: int = 2, depths: Depths = Depths()
 ) -> TheoremReport:
     """Certify that the only embeddings of ratio ±rho^k are the word maps,
     joined by their reflections exactly in the symmetric case."""
@@ -227,15 +196,15 @@ def verify_three_map(
         minus = [word_map(ifs, w).compose(sigma) for w in words] if symmetric else []
         for ratio, expected in ((rho**k, plus), (-(rho**k), minus)):
             row, row_checks, row_cert = _enumerate_row(
-                ifs, k, ratio, expected, depths, budget
+                ifs, k, ratio, expected, depths
             )
             rows.append(row)
             checks.extend(row_checks)
             certified.extend(row_cert)
 
     if lam > (1 - rho) / 2:
-        checks.append(_mirror_agreement(ifs, rows, depths, budget))
-    checks.append(_cross_check(ifs, certified, depths, budget))
+        checks.append(_mirror_agreement(ifs, rows, depths))
+    checks.append(_cross_check(ifs, certified, depths))
 
     return TheoremReport(
         theorem_id=TheoremId.Thm1_1ii if symmetric else TheoremId.Thm1_1i,
@@ -250,21 +219,12 @@ def verify_three_map(
     )
 
 
-def _mirror_agreement(
-    ifs: IFS, rows, depths: Depths, budget: int
-) -> Check:
+def _mirror_agreement(ifs: IFS, rows, depths: Depths) -> Check:
     """Upper-range systems must reproduce their inventory through the
     mirrored problem, with word answers relabeled letterwise."""
     mirrored, sigma = mirror(ifs)
     for row in rows:
-        result = enumerate_embeddings(
-            mirrored,
-            row.ratio,
-            depths.point_depth,
-            depths.cover_depth,
-            depths.branch_depth,
-            budget,
-        )
+        result = enumerate_embeddings(mirrored, row.ratio, *depths)
         pulled_back = _sorted_maps(
             sigma.compose(g).compose(sigma) for g, _ in result.certified
         )
@@ -285,12 +245,7 @@ def _mirror_agreement(
                     f"round trip failed for {f}",
                 )
             verdict = check_embedding(
-                reduction.mirrored,
-                reduction.conjugate,
-                depths.point_depth,
-                depths.cover_depth,
-                depths.branch_depth,
-                budget,
+                reduction.mirrored, reduction.conjugate, *depths
             )
             if not isinstance(verdict, IncludedWord):
                 return Check(
@@ -312,11 +267,7 @@ def _mirror_agreement(
 
 
 def _inventory_rows(
-    ifs: IFS,
-    k_budget: int,
-    expect_reflections: bool,
-    depths: Depths,
-    budget: int,
+    ifs: IFS, k_budget: int, expect_reflections: bool, depths: Depths
 ):
     sigma = ifs.reflection()
     products = sorted(
@@ -341,20 +292,17 @@ def _inventory_rows(
         exponent = min(len(w) for w in words)
         for ratio, expected in ((r, plus), (-r, minus)):
             row, row_checks, row_cert = _enumerate_row(
-                ifs, exponent, ratio, expected, depths, budget
+                ifs, exponent, ratio, expected, depths
             )
             rows.append(row)
             checks.extend(row_checks)
             certified.extend(row_cert)
-    checks.append(_cross_check(ifs, certified, depths, budget))
+    checks.append(_cross_check(ifs, certified, depths))
     return rows, checks
 
 
 def verify_equal_gap(
-    ratios,
-    k_budget: int = 2,
-    depths: Depths = Depths(),
-    budget: int = DEFAULT_BUDGET,
+    ratios, k_budget: int = 2, depths: Depths = Depths()
 ) -> TheoremReport:
     """Equal-gap systems admit exactly the word maps, joined by reflected
     word maps exactly when the ratio list is palindromic."""
@@ -363,7 +311,7 @@ def verify_equal_gap(
     ifs = equal_gap(ratios)
     rs = tuple(f.ratio for f in ifs.maps)
     palindromic = rs == rs[::-1]
-    rows, checks = _inventory_rows(ifs, k_budget, palindromic, depths, budget)
+    rows, checks = _inventory_rows(ifs, k_budget, palindromic, depths)
     return TheoremReport(
         theorem_id=TheoremId.Thm1_2,
         params=(
@@ -401,10 +349,7 @@ class Grid:
 
 
 def verify_corollary(
-    variant: TwoMap | Grid,
-    k_max: int = 2,
-    depths: Depths = Depths(),
-    budget: int = DEFAULT_BUDGET,
+    variant: TwoMap | Grid, k_max: int = 2, depths: Depths = Depths()
 ) -> TheoremReport:
     """Two anchored maps of distinct ratios admit words only; the uniform
     grid admits words and their reflections."""
@@ -432,7 +377,7 @@ def verify_corollary(
         )
     else:
         raise ParameterOutOfRange("variant must be TwoMap or Grid")
-    rows, checks = _inventory_rows(ifs, k_max, expect_reflections, depths, budget)
+    rows, checks = _inventory_rows(ifs, k_max, expect_reflections, depths)
     return TheoremReport(
         theorem_id=theorem_id,
         params=params,
@@ -492,9 +437,7 @@ def _exchange_check(ifs: IFS, name: str, g: Similitude, pairs, verdict) -> Check
     return Check(label, True)
 
 
-def verify_example_four_map(
-    depths: Depths = Depths(), budget: int = DEFAULT_BUDGET
-) -> TheoremReport:
+def verify_example_four_map(depths: Depths = Depths()) -> TheoremReport:
     """The four-map decimal system: scaled-union self-similarity, the six
     embeddings per sign at ratio 1/10, the two exchange generators, and
     the certified symmetry center."""
@@ -504,10 +447,11 @@ def verify_example_four_map(
     checks: list[Check] = []
 
     for n in range(1, 7):
-        scaled = cover(ifs, n, budget).parts.affine(Fraction(10), Fraction(0))
+        scaled = cover(ifs, n, depths.budget).parts.affine(Fraction(10), Fraction(0))
+        shallow = cover(ifs, n - 1, depths.budget).parts
         translated = IntervalSet(())
         for s in FOUR_MAP_SCALE_TRANSLATES:
-            translated = translated | cover(ifs, n - 1, budget).parts.translate(s)
+            translated = translated | shallow.translate(s)
         checks.append(
             Check(
                 f"scaled union identity at depth {n}",
@@ -537,22 +481,13 @@ def verify_example_four_map(
     rows: list[InventoryRow] = []
     certified: list[tuple[Similitude, EmbeddingVerdict]] = []
     for ratio, expected in ((r, plus), (-r, minus)):
-        row, row_checks, row_cert = _enumerate_row(
-            ifs, 1, ratio, expected, depths, budget
-        )
+        row, row_checks, row_cert = _enumerate_row(ifs, 1, ratio, expected, depths)
         rows.append(row)
         checks.extend(row_checks)
         certified.extend(row_cert)
 
     for name, g, pairs in (("g1", g1, G1_PAIRS), ("g2", g2, G2_PAIRS)):
-        verdict = check_embedding(
-            ifs,
-            g,
-            depths.point_depth,
-            depths.cover_depth,
-            depths.branch_depth,
-            budget,
-        )
+        verdict = check_embedding(ifs, g, *depths)
         checks.append(_exchange_check(ifs, name, g, pairs, verdict))
 
     sym = is_symmetric(ifs)
@@ -560,7 +495,7 @@ def verify_example_four_map(
     checks.append(
         Check("symmetry center 1/3", sym_ok, "" if sym_ok else repr(sym))
     )
-    checks.append(_cross_check(ifs, certified, depths, budget))
+    checks.append(_cross_check(ifs, certified, depths))
 
     return TheoremReport(
         theorem_id=TheoremId.Example1_4,

@@ -187,6 +187,12 @@ class TestVerifyPaper:
             assert rec["theorem_id"] == "Thm1_2"
             assert rec["passed"] is True
 
+    def test_budget_reaches_the_harness_covers(self, capsys):
+        # the harness's own depth-4 cover (4**4 cylinders) is refused
+        # before the engine's depth-8 cover (4**8) is reached
+        assert main(["verify-paper", "--only", "example1_4", "--budget", "100"]) == 3
+        assert "cylinder count 256 exceeds budget 100" in capsys.readouterr().err
+
     def test_injection_fails(self, capsys):
         code = main(
             ["verify-paper", "--only", "thm1_2", "--inject-wrong-expectation"]
@@ -219,9 +225,24 @@ class TestErrorsAndBudget:
         assert captured.out == ""
 
     def test_bad_rational_argument(self, three_spec, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["check", three_spec, "x/y", "0"])
-        assert excinfo.value.code == 2
+        assert main(["check", three_spec, "x/y", "0"]) == 2
+        assert "error: argument ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "SPEC", "1/0", "0"],
+        ["check", "SPEC", "1/5", "0", "--point-depth", "x"],
+        ["check", "SPEC", "1/5"],
+        ["nonesuch"],
+        [],
+    ])
+    def test_usage_errors_return_two(self, three_spec, capsys, argv):
+        assert main([three_spec if a == "SPEC" else a for a in argv]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_returns_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_budget_flag(self, three_spec, capsys):
         assert main(["cover", three_spec, "--depth", "8", "--budget", "10"]) == 3
@@ -265,8 +286,8 @@ class TestErrorsAndBudget:
         assert "cylinder count 3**100000000 exceeds budget 1000000" in err
 
     def test_huge_cover_depth_fails_fast(self, three_spec, capsys):
-        # the shallower covers are built, within the budget, before the
-        # first depth over it is refused
+        # every cover depth is checked before any is built, and the
+        # message names the first depth over the budget
         start = time.perf_counter()
         argv = ["check", three_spec, "1/5", "0", "--cover-depth", "100000000"]
         assert main(argv + ["--budget", "1000"]) == 3
@@ -390,6 +411,24 @@ def command_args(draw, path):
     return args
 
 
+@st.composite
+def malformed_args(draw, path):
+    """Well-formed arguments with one defect: a bad rational or integer
+    in place of any argument, an unknown flag or a flag missing its value,
+    or a dropped argument."""
+    args = draw(command_args(path))
+    i = draw(st.integers(0, len(args) - 1))
+    defect = draw(st.sampled_from(["value", "flag", "drop"]))
+    if defect == "value":
+        args[i] = draw(st.sampled_from(["x", "1.5", "1/0", "", "1/2/3", "x/y"]))
+    elif defect == "flag":
+        flag = st.sampled_from(["--bogus", "-z", "--depth=", "--point-depth"])
+        args.insert(i, draw(flag))
+    else:
+        del args[i]
+    return args
+
+
 class TestExitContract:
     @settings(
         max_examples=200,
@@ -403,3 +442,14 @@ class TestExitContract:
         argv = data.draw(command_args(str(path)))
         code = main(argv)
         assert type(code) is int and 0 <= code <= 4
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_malformed_arguments_are_usage_errors(self, three_spec, capsys, data):
+        argv = data.draw(malformed_args(three_spec))
+        assert main(argv) == 2
+        capsys.readouterr()

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 from fractions import Fraction as F
 from itertools import product
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from selfsim.cover import _integer_generators, cover, exact_points
 from selfsim.embedding import (
     WORD_LIMIT,
+    Depths,
     EnumerationResult,
     ExchangePair,
     ExcludedWitness,
@@ -27,6 +29,7 @@ from selfsim.embedding import (
 )
 from selfsim.embedding import _ratio_product_test
 from selfsim.errors import (
+    BudgetExceeded,
     EmptySet,
     HypothesisViolated,
     NotCovered,
@@ -302,6 +305,34 @@ class TestCheckEmbedding:
             LATTICE_HALF, f, point_depth=4, cover_depth=4, branch_depth=5, budget=625
         )
         assert verdict == UnknownAtDepth(5)
+
+    def test_over_budget_cover_depth_builds_no_cover(self):
+        ifs = three_map(F(1, 5), F(3, 10))
+        with pytest.raises(BudgetExceeded) as err:
+            check_embedding(ifs, Similitude(F(1, 5), F(0)), 4, 10**8, 6)
+        assert err.value.requested == 3**13  # the first depth over 10**6
+        assert not ifs._memo.get("covers")
+
+
+class TestDepths:
+    def test_fields_follow_the_engine_signatures(self):
+        for fn, skip in ((check_embedding, 2), (enumerate_embeddings, 2),
+                         (decompose, 3)):
+            params = list(inspect.signature(fn).parameters.values())[skip:]
+            assert tuple(p.name for p in params) == Depths._fields
+            assert tuple(p.default for p in params) == Depths()
+
+    @pytest.mark.parametrize("f", [
+        THREE.maps[1],
+        Similitude(F(1, 5), F(3, 5)),
+        word_map(THREE, THREE.word(2, 3)),
+        Similitude(F(-1, 5), F(1, 5)),
+    ])
+    def test_splat_equals_keyword_call(self, f):
+        keywords = dict(point_depth=2, cover_depth=3, branch_depth=2, budget=10**4)
+        assert check_embedding(THREE, f, *Depths(2, 3, 2, 10**4)) == check_embedding(
+            THREE, f, **keywords
+        )
 
 
 class TestLocatePiece:

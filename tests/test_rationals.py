@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from selfsim.rationals import format_rational, iroot, parse_rational, qth_root_bounds
+from selfsim.rationals import format_rational, parse_rational
 
 
 def test_parse_fraction_and_integer():
@@ -30,34 +30,3 @@ def test_format_round_trip():
 def test_format_integers_without_slash():
     assert format_rational(Fraction(4)) == "4"
     assert format_rational(Fraction(-2)) == "-2"
-
-
-def test_iroot_exact_and_floor():
-    assert iroot(27, 3) == 3
-    assert iroot(26, 3) == 2
-    assert iroot(1, 5) == 1
-    assert iroot(0, 4) == 0
-    assert iroot(10**18, 2) == 10**9
-
-
-def test_iroot_large():
-    n = 7**40
-    assert iroot(n, 40) == 7
-    assert iroot(n - 1, 40) == 6
-
-
-def test_qth_root_bounds_enclose():
-    x = Fraction(1, 5)
-    lo, hi = qth_root_bounds(x, 3, 10**12)
-    assert lo**3 <= x <= hi**3
-    assert hi - lo <= Fraction(2, 10**12)
-
-
-def test_qth_root_bounds_exact_power():
-    lo, hi = qth_root_bounds(Fraction(1, 8), 3, 10**6)
-    assert lo <= Fraction(1, 2) <= hi
-
-
-def test_qth_root_bounds_rejects_negative():
-    with pytest.raises(ValueError):
-        qth_root_bounds(Fraction(-1), 2, 10)

@@ -167,3 +167,12 @@ class TestReportMachinery:
         assert back["theorem_id"] == "Cor1_3ii"
         assert back["passed"] is True
         assert back["rows"][0]["expected"] == back["rows"][0]["actual"]
+
+    def test_record_depths_leave_out_the_budget(self):
+        report = verify_three_map(
+            F(1, 5), F(3, 10), k_max=1, depths=Depths(4, 8, 6, 10**5)
+        )
+        assert report.passed
+        assert report_record(report)["depths"] == {
+            "point_depth": 4, "cover_depth": 8, "branch_depth": 6,
+        }
