@@ -137,15 +137,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SELFSIM_BUDGET")
-    if env is not None:
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env = os.environ.get("SELFSIM_BUDGET")
+        if env is None:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), "SELFSIM_BUDGET"
         except ValueError:
             raise SelfsimError(f"SELFSIM_BUDGET={env!r} is not an integer")
-    return DEFAULT_BUDGET
+    if budget < 0:
+        raise SelfsimError(f"{source} must be >= 0, got {budget}")
+    return budget
 
 
 def _depths(args) -> Depths:

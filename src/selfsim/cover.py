@@ -9,10 +9,9 @@ Every depth-n cover endpoint lies on the lattice ``Z/(H*D**n)``, where
 ``D`` is the lcm of the ratio and offset denominators and ``H`` the lcm of
 the two hull endpoint denominators: a map ``x -> (a/D)*x + c/D`` sends
 ``Z/S`` into ``Z/(D*S)``.  So each (system, depth) cover is built once, in
-``int`` arithmetic from the depth n-1 cover, and kept as a
-:class:`LatticeSet` with its largest gap in the system's own memo, which
-dies with the system.  :func:`cover` builds the ``Fraction`` form per call
-for callers outside the engine; the engine reads :func:`lattice_cover`.
+``int`` arithmetic from the depth n-1 cover, into the system's own memo,
+which dies with the system; :func:`cover` and :func:`lattice_cover` hand
+out that immutable :class:`IntervalSet` itself.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import BudgetExceeded, ParameterOutOfRange, SelfsimError, UntaggedFamily
-from .intervals import IntervalSet, LatticeSet
+from .intervals import IntervalSet
 from .similitudes import IFS
 
 DEFAULT_BUDGET = 10**6
@@ -61,47 +60,30 @@ def _integer_generators(ifs: IFS) -> tuple[int, tuple[tuple[int, int], ...]]:
     return ifs._memo["gens"]
 
 
-def _next_cover(ifs: IFS, prev: LatticeSet | None) -> LatticeSet:
+def _next_cover(ifs: IFS, prev: IntervalSet | None) -> IntervalSet:
     """The cover one depth below ``prev``; the hull when ``prev`` is None."""
     if prev is None:
-        scale = lcm(ifs.hull.lo.denominator, ifs.hull.hi.denominator)
-        return LatticeSet.from_set(IntervalSet((ifs.hull,)), scale)
+        return IntervalSet((ifs.hull,))
     d, gens = _integer_generators(ifs)
     pieces: list[tuple[int, int]] = []
     for a, c in gens:
         t = c * prev.scale
         pieces.extend(zip([a * x + t for x in prev.los], [a * x + t for x in prev.his]))
     # each map's image is a sorted run, which the sort merges cheaply
-    pieces.sort()
-    los: list[int] = []
-    his: list[int] = []
-    for lo, hi in pieces:
-        if his and lo <= his[-1]:
-            if hi > his[-1]:
-                his[-1] = hi
-        else:
-            los.append(lo)
-            his.append(hi)
-    return LatticeSet(prev.scale * d, tuple(los), tuple(his))
+    return IntervalSet.from_lattice(prev.scale * d, pieces)
 
 
-def _cover_lattice(ifs: IFS, depth: int) -> tuple[LatticeSet, Fraction]:
-    """The depth-n cover on its lattice, and its largest gap; each depth is
-    built once, from the one above, into the system's memo."""
+def lattice_cover(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> IntervalSet:
+    """The depth-n cover on the lattice ``Z/(H*D**n)``; each depth is built
+    once, from the one above, into the system's memo.  Raises
+    BudgetExceeded when m**n would exceed ``budget``, before anything is
+    built."""
+    _check_depth(ifs.arity, depth, budget)
     covers = ifs._memo.setdefault("covers", {})
     for n in range(depth + 1):
         if n not in covers:
-            parts = _next_cover(ifs, covers[n - 1][0] if n else None)
-            covers[n] = parts, parts.largest_gap()
+            covers[n] = _next_cover(ifs, covers[n - 1] if n else None)
     return covers[depth]
-
-
-def lattice_cover(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> LatticeSet:
-    """The depth-n cover on the lattice ``Z/(H*D**n)``, built once per
-    (system, depth).  Raises BudgetExceeded when m**n would exceed
-    ``budget``, before anything is built."""
-    _check_depth(ifs.arity, depth, budget)
-    return _cover_lattice(ifs, depth)[0]
 
 
 def cover(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> CoverReport:
@@ -110,14 +92,8 @@ def cover(ifs: IFS, depth: int, budget: int = DEFAULT_BUDGET) -> CoverReport:
     Touching cylinders merge, so piece_count can be smaller than m**n.
     Raises BudgetExceeded when m**n would exceed ``budget``.
     """
-    _check_depth(ifs.arity, depth, budget)
-    lattice, gap = _cover_lattice(ifs, depth)
-    return CoverReport(
-        depth=depth,
-        parts=lattice.to_set(),
-        piece_count=len(lattice.los),
-        largest_gap=gap,
-    )
+    parts = lattice_cover(ifs, depth, budget)
+    return CoverReport(depth, parts, len(parts), parts.largest_gap())
 
 
 def _points_upto(ifs: IFS, depth: int) -> tuple[Fraction, ...]:
@@ -160,8 +136,8 @@ def family_gap(ifs: IFS) -> Fraction:
         total = sum((f.ratio for f in ifs.maps), Fraction(0))
         return (1 - total) / (ifs.arity - 1)
     if ifs.family == "four-map-example":
-        shallow = _cover_lattice(ifs, 1)[0].to_set().largest_gap_interval()
-        deep = _cover_lattice(ifs, 2)[0].to_set().largest_gap_interval()
+        shallow = lattice_cover(ifs, 1).largest_gap_interval()
+        deep = lattice_cover(ifs, 2).largest_gap_interval()
         if shallow != deep:
             raise SelfsimError("largest gap did not stabilize by depth 2")
         assert shallow is not None

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .cover import (
     DEFAULT_BUDGET,
     _check_depth,
-    _cover_lattice,
     _integer_generators,
     exact_points,
     lattice_cover,
@@ -39,7 +39,7 @@ from .errors import (
     StepBudgetExceeded,
     WrongFamilyRange,
 )
-from .intervals import Interval, IntervalSet, LatticeSet, lattice_intersect_shifted
+from .intervals import Interval, IntervalSet, _intersect_shifted
 from .rationals import format_rational
 from .similitudes import (
     IDENTITY,
@@ -251,7 +251,7 @@ def _escape_gap(hull: Interval, y: Fraction) -> Interval:
 
 def _hunt_witness(
     hull: Interval,
-    covers: Sequence[LatticeSet],
+    covers: Sequence[IntervalSet],
     u_map: Similitude,
     h: Similitude,
     pts: Sequence[Fraction],
@@ -277,14 +277,13 @@ def _hunt_witness(
         if not covers[0].contains(num, den):
             gap = _escape_gap(hull, Fraction(num, den))
             return ExcludedWitness(u_map(q), gap, 0)
-        if deepest.gap_index(num, den):
+        if not deepest.contains(num, den):
             suspects.append((q, num, den))
     for n in range(1, len(covers)):
-        parts = covers[n]
         for q, num, den in suspects:
-            idx = parts.gap_index(num, den)
-            if idx:
-                return ExcludedWitness(u_map(q), parts.gap(idx), n)
+            gap = covers[n].gap_at(num, den)
+            if gap is not None:
+                return ExcludedWitness(u_map(q), gap, n)
     return None
 
 
@@ -319,7 +318,7 @@ def check_embedding(
     # refuse the first depth over the budget before any cover is built
     for n in range(cover_depth + 1):
         _check_depth(ifs.arity, n, budget)
-    covers = [_cover_lattice(ifs, n)[0] for n in range(cover_depth + 1)]
+    covers = [lattice_cover(ifs, n, budget) for n in range(cover_depth + 1)]
 
     pairs: list[ExchangePair] = []
 
@@ -387,7 +386,7 @@ def locate_piece(target: IntervalSet, pieces: Sequence[IntervalSet]) -> int:
             f"target largest gap {target_gap} is not below "
             f"the minimal piece distance {min_dist}"
         )
-    union = IntervalSet(tuple(p for piece in pieces for p in piece.parts))
+    union = reduce(IntervalSet.union, pieces)
     if not union.includes(target):
         stray = next(p for p in target.parts if not union.includes(IntervalSet((p,))))
         raise NotCovered(f"target part {stray} escapes the union of the pieces")
@@ -462,8 +461,8 @@ def _refine_by_location(
     """Disambiguate overlapping hull containment via the separation lemma
     on cover-refined images.  Returns a single candidate on success, the
     original list otherwise."""
-    deep = lattice_cover(ifs, cover_depth, budget).to_set()
-    shallow = lattice_cover(ifs, cover_depth - 1, budget).to_set()
+    deep = lattice_cover(ifs, cover_depth, budget)
+    shallow = lattice_cover(ifs, cover_depth - 1, budget)
     target = deep.affine(g.ratio, g.offset)
     pieces = [shallow.affine(f.ratio, f.offset) for f in ifs.maps]
     try:
@@ -515,10 +514,9 @@ def enumerate_embeddings(
     parts = lattice_cover(ifs, cover_depth, budget)
     pts = exact_points(ifs, point_depth, budget)
 
-    if ratio > 0:
-        feasible = (hull.lo * (1 - ratio), hull.hi - ratio * hull.hi)
-    else:
-        feasible = (hull.lo - ratio * hull.hi, hull.hi - ratio * hull.lo)
+    # the offsets that put ratio*hull inside the hull
+    image = Similitude(ratio, Fraction(0)).map_interval(hull)
+    feasible = IntervalSet((Interval(hull.lo - image.lo, hull.hi - image.hi),))
 
     # the points and the center as ints over one denominator, farthest
     # from the center first; point p forces the shift -ratio*p
@@ -531,24 +529,24 @@ def enumerate_embeddings(
     # one common lattice for the offsets: the cover scale (a multiple of
     # every shallower cover's), the feasible interval and the shifts
     shift_den = ratio.denominator * den
-    scale = lcm(parts.scale, shift_den, *(x.denominator for x in feasible))
+    scale = lcm(parts.scale, shift_den, feasible.scale)
     lift = -ratio.numerator * (scale // shift_den)
     steps = [lift * x for x in ordered]
-    remaining = LatticeSet.from_set(IntervalSet((Interval(*feasible),)), scale)
+    remaining = feasible.on_lattice(scale)
     # coarse warm-up: the depth-4 cover is a superset of the full one, so
     # these extra constraints shrink the offset set without changing the
     # final intersection, and keep the fine-grained passes cheap
     coarse = lattice_cover(ifs, min(cover_depth, 4), budget)
     for step in steps[:2]:
-        remaining = lattice_intersect_shifted(remaining, coarse, step)
+        remaining = _intersect_shifted(remaining, coarse, step)
     for step in steps:
-        remaining = lattice_intersect_shifted(remaining, parts, step)
-        if not remaining.los:
+        remaining = _intersect_shifted(remaining, parts, step)
+        if not remaining:
             break
 
     certified: list[tuple[Similitude, EmbeddingVerdict]] = []
     candidates: list[Interval] = []
-    for component in remaining.to_set():
+    for component in remaining:
         if component.lo == component.hi:
             f = Similitude(ratio, component.lo)
             verdict = check_embedding(

@@ -3,12 +3,10 @@
 An :class:`IntervalSet` is kept in canonical form: parts sorted by left
 endpoint, pairwise disjoint, and never touching (two closed intervals that
 share an endpoint are merged).  Point intervals with lo == hi are legal
-parts.  All endpoints are exact rationals; no floats appear anywhere.
-
-A :class:`LatticeSet` is the same canonical union with every endpoint on
-one lattice ``Z/scale``, stored as two sorted ``int`` tuples.  The engine's
-hot paths (cover building, point location, offset propagation) run on it
-in pure integer arithmetic; ``IntervalSet`` is the form callers see.
+parts.  The set stores its endpoints as ``int`` numerators over one
+lattice ``Z/scale`` and runs its algebra in integer arithmetic; ``Interval``
+and ``Fraction`` objects are built only where a caller reads parts, gaps or
+lengths.  No floats appear anywhere.
 """
 
 from __future__ import annotations
@@ -16,7 +14,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -53,100 +52,157 @@ class Interval:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
-def _canonical(parts: Iterable[Interval]) -> tuple[Interval, ...]:
-    items = sorted(parts)
-    out: list[Interval] = []
-    for part in items:
-        if out and part.lo <= out[-1].hi:
-            if part.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, part.hi)
+def _merge(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical ``(los, his)`` of closed intervals ``(lo, hi)`` given in
+    sorted order: overlapping and touching intervals merge."""
+    los: list[int] = []
+    his: list[int] = []
+    for lo, hi in pairs:
+        if his and lo <= his[-1]:
+            if hi > his[-1]:
+                his[-1] = hi
         else:
-            out.append(part)
-    return tuple(out)
+            los.append(lo)
+            his.append(hi)
+    return tuple(los), tuple(his)
 
 
-@dataclass(frozen=True)
+def _fill(obj: "IntervalSet", scale: int, los: tuple[int, ...], his: tuple[int, ...]):
+    object.__setattr__(obj, "scale", scale)
+    object.__setattr__(obj, "los", los)
+    object.__setattr__(obj, "his", his)
+    return obj
+
+
+def _make(scale: int, los: tuple[int, ...], his: tuple[int, ...]) -> "IntervalSet":
+    """Wrap parts already known to be in canonical form."""
+    return _fill(object.__new__(IntervalSet), scale, los, his)
+
+
+@dataclass(frozen=True, eq=False)
 class IntervalSet:
-    """Finite union of closed rational intervals in canonical form."""
+    """Finite union of closed rational intervals in canonical form.
 
-    parts: tuple[Interval, ...]
+    Part i is ``[los[i]/scale, his[i]/scale]``.  Equality and hashing are
+    set equality, whatever lattice each side is stored on.  Points
+    ``num/den`` (den > 0) are located by bisection on the floored key
+    ``num*scale // den`` and decided by cross-multiplication, so no
+    ``Fraction`` is built.
+    """
+
+    scale: int
+    los: tuple[int, ...]
+    his: tuple[int, ...]
 
     def __init__(self, parts: Iterable[Interval] = ()):
-        object.__setattr__(self, "parts", _canonical(parts))
+        parts = tuple(parts)
+        scale = lcm(*(x.denominator for p in parts for x in (p.lo, p.hi)))
+        pairs = sorted((int(p.lo * scale), int(p.hi * scale)) for p in parts)
+        _fill(self, scale, *_merge(pairs))
 
     @classmethod
-    def _from_canonical(cls, parts: tuple[Interval, ...]) -> "IntervalSet":
-        """Wrap parts already known to be in canonical form."""
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "parts", parts)
-        return obj
+    def from_lattice(cls, scale: int, pairs: Iterable[tuple[int, int]]) -> IntervalSet:
+        """Union of the closed intervals ``[lo/scale, hi/scale]`` over the
+        ``(lo, hi)`` in ``pairs``, in any order, stored on ``Z/scale``."""
+        return _make(scale, *_merge(sorted(pairs)))
+
+    def on_lattice(self, scale: int) -> "IntervalSet":
+        """The same set stored on ``Z/scale``; raises ValueError when an
+        endpoint is not on that lattice."""
+        if scale == self.scale:
+            return self
+
+        def at(x: int) -> int:
+            q, r = divmod(x * scale, self.scale)
+            if r:
+                raise ValueError(
+                    f"{Fraction(x, self.scale)} is not on the lattice Z/{scale}"
+                )
+            return q
+
+        return _make(scale, tuple(map(at, self.los)), tuple(map(at, self.his)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntervalSet):
+            return NotImplemented
+        a, b = _common(self, other)
+        return a.los == b.los and a.his == b.his
+
+    def __hash__(self) -> int:
+        # the coarsest lattice that holds the set is unique
+        g = gcd(self.scale, *self.los, *self.his)
+        return hash((self.scale // g, tuple(x // g for x in self.los + self.his)))
+
+    @property
+    def parts(self) -> tuple[Interval, ...]:
+        s = self.scale
+        return tuple(
+            Interval(Fraction(lo, s), Fraction(hi, s))
+            for lo, hi in zip(self.los, self.his)
+        )
 
     def __bool__(self) -> bool:
-        return bool(self.parts)
+        return bool(self.los)
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self.los)
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)
 
     def __str__(self) -> str:
-        if not self.parts:
+        if not self.los:
             return "{}"
         return " u ".join(str(p) for p in self.parts)
 
     @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not self.los
 
     def hull(self) -> Interval:
         """Convex hull [min, max]; raises EmptySet on the empty set."""
-        if not self.parts:
+        if not self.los:
             raise EmptySet("empty set has no hull")
-        return Interval(self.parts[0].lo, self.parts[-1].hi)
+        return Interval(
+            Fraction(self.los[0], self.scale), Fraction(self.his[-1], self.scale)
+        )
 
     def total_length(self) -> Fraction:
-        return sum((p.length for p in self.parts), Fraction(0))
+        return Fraction(sum(self.his) - sum(self.los), self.scale)
 
     # -- membership ---------------------------------------------------------
 
+    def contains(self, num: int, den: int) -> bool:
+        """True when ``num/den`` lies in the set."""
+        idx = bisect_right(self.los, num * self.scale // den)
+        return idx > 0 and num * self.scale <= self.his[idx - 1] * den
+
     def contains_point(self, x: Fraction) -> bool:
-        idx = bisect_right(self.parts, x, key=lambda p: p.lo)
-        return idx > 0 and x <= self.parts[idx - 1].hi
+        return self.contains(x.numerator, x.denominator)
 
     def includes(self, other: "IntervalSet") -> bool:
         """Set containment other subset-of self.
 
         Canonical parts of self are separated by real gaps, so each part of
-        ``other`` must sit inside a single part of self.
+        ``other`` must sit inside the first part of self not ending before it.
         """
-        i = 0
-        for part in other.parts:
-            while i < len(self.parts) and self.parts[i].hi < part.lo:
-                i += 1
-            if i == len(self.parts) or not self.parts[i].contains_interval(part):
+        a, b = _common(self, other)
+        for lo, hi in zip(b.los, b.his):
+            i = bisect_left(a.his, lo)
+            if i == len(a.his) or a.los[i] > lo or a.his[i] < hi:
                 return False
         return True
 
     # -- boolean algebra ----------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.parts + other.parts)
+        a, b = _common(self, other)
+        return IntervalSet.from_lattice(
+            a.scale, chain(zip(a.los, a.his), zip(b.los, b.his))
+        )
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Interval] = []
-        a, b = self.parts, other.parts
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i].lo, b[j].lo)
-            hi = min(a[i].hi, b[j].hi)
-            if lo <= hi:
-                out.append(Interval(lo, hi))
-            if a[i].hi < b[j].hi:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet._from_canonical(tuple(out))
+        return _intersect_shifted(*_common(self, other), 0)
 
     def __or__(self, other: "IntervalSet") -> "IntervalSet":
         return self.union(other)
@@ -156,65 +212,60 @@ class IntervalSet:
 
     # -- gap structure ------------------------------------------------------
 
+    def gap_at(self, num: int, den: int) -> Interval | None:
+        """The gap whose open interior holds ``num/den``, if any."""
+        idx = bisect_right(self.los, num * self.scale // den)
+        if 0 < idx < len(self.los) and num * self.scale > self.his[idx - 1] * den:
+            return Interval(
+                Fraction(self.his[idx - 1], self.scale),
+                Fraction(self.los[idx], self.scale),
+            )
+        return None
+
     def gaps(self) -> tuple[Interval, ...]:
         """Bounded components of the complement inside the hull, as open
         intervals recorded by their endpoints.  Raises EmptySet when empty."""
-        if not self.parts:
+        if not self.los:
             raise EmptySet("empty set has no gap structure")
+        s = self.scale
         return tuple(
-            Interval(a.hi, b.lo) for a, b in zip(self.parts, self.parts[1:])
+            Interval(Fraction(hi, s), Fraction(lo, s))
+            for hi, lo in zip(self.his, self.los[1:])
         )
 
     def largest_gap(self) -> Fraction:
         """Length of the longest gap; 0 when the set is a single interval."""
-        if not self.parts:
+        if not self.los:
             raise EmptySet("empty set has no gap structure")
-        widths = [b.lo - a.hi for a, b in zip(self.parts, self.parts[1:])]
-        return max(widths, default=Fraction(0))
+        return Fraction(max(map(sub, self.los[1:], self.his), default=0), self.scale)
 
     def largest_gap_interval(self) -> Interval | None:
         """The leftmost gap realizing largest_gap, or None if gapless."""
-        if not self.parts:
-            raise EmptySet("empty set has no gap structure")
-        best: Interval | None = None
-        for gap in self.gaps():
-            if best is None or gap.length > best.length:
-                best = gap
-        return best
+        return max(self.gaps(), key=lambda gap: gap.length, default=None)
 
     def gap_containing(self, x: Fraction) -> Interval | None:
         """The gap whose open interior strictly contains x, if any."""
-        if not self.parts:
+        if not self.los:
             raise EmptySet("empty set has no gap structure")
-        idx = bisect_right(self.parts, x, key=lambda p: p.lo)
-        if idx == 0 or idx == len(self.parts):
-            return None
-        prev = self.parts[idx - 1]
-        if x <= prev.hi:
-            return None
-        return Interval(prev.hi, self.parts[idx].lo)
+        return self.gap_at(x.numerator, x.denominator)
 
     # -- metric structure ---------------------------------------------------
 
     def dist(self, other: "IntervalSet") -> Fraction:
         """Minimal distance between the two unions (0 on touch/overlap)."""
-        if not self.parts or not other.parts:
+        if not self.los or not other.los:
             raise EmptySet("distance needs two nonempty sets")
-        a, b = self.parts, other.parts
-        i = j = 0
-        best: Fraction | None = None
-        while i < len(a) and j < len(b):
-            gap = max(a[i].lo - b[j].hi, b[j].lo - a[i].hi, Fraction(0))
-            if best is None or gap < best:
-                best = gap
-            if best == 0:
-                return Fraction(0)
-            if a[i].hi < b[j].hi:
-                i += 1
-            else:
-                j += 1
-        assert best is not None
-        return best
+        a, b = _common(self, other)
+        if _intersect_shifted(a, b, 0):
+            return Fraction(0)
+        # the sets are disjoint, so the nearest two parts are neighbours in
+        # their sorted union
+        tagged = sorted(
+            [(lo, hi, 0) for lo, hi in zip(a.los, a.his)]
+            + [(lo, hi, 1) for lo, hi in zip(b.los, b.his)]
+        )
+        gaps = (q[0] - p[1] for p, q in zip(tagged, tagged[1:]) if p[2] != q[2])
+        return Fraction(min(gaps), a.scale)
 
     def neighborhood(self, delta: Fraction) -> "Neighborhood":
         """Open delta-neighborhood.  Components keep open-set semantics:
@@ -238,21 +289,27 @@ class IntervalSet:
         """Image under x -> ratio*x + offset, ratio != 0, exactly."""
         if ratio == 0:
             raise ValueError("affine image needs a nonzero ratio")
-        if ratio > 0:
-            parts = tuple(
-                Interval(ratio * p.lo + offset, ratio * p.hi + offset)
-                for p in self.parts
-            )
-        else:
-            parts = tuple(
-                Interval(ratio * p.hi + offset, ratio * p.lo + offset)
-                for p in reversed(self.parts)
-            )
-        # a nonzero affine map scales gaps by |ratio|, so canonical form survives
-        return IntervalSet._from_canonical(parts)
+        # x/S -> (p*x)/(q*S) + c/e lands on the lattice Z/lcm(q*S, e)
+        p, q = ratio.numerator, ratio.denominator
+        c, e = offset.numerator, offset.denominator
+        scale = lcm(q * self.scale, e)
+        k, t = p * (scale // (q * self.scale)), c * (scale // e)
+        los = tuple(k * x + t for x in self.los)
+        his = tuple(k * x + t for x in self.his)
+        # a nonzero affine map scales gaps by |ratio|, so canonical form
+        # survives; a negative ratio reverses the order
+        if k < 0:
+            los, his = his[::-1], los[::-1]
+        return _make(scale, los, his)
 
     def translate(self, offset: Fraction) -> "IntervalSet":
         return self.affine(Fraction(1), offset)
+
+
+def _common(a: IntervalSet, b: IntervalSet) -> tuple[IntervalSet, IntervalSet]:
+    """Both sets on the lcm of their lattices."""
+    scale = lcm(a.scale, b.scale)
+    return a.on_lattice(scale), b.on_lattice(scale)
 
 
 @dataclass(frozen=True)
@@ -280,69 +337,7 @@ class Neighborhood:
         return len(self.components) == 1
 
 
-@dataclass(frozen=True)
-class LatticeSet:
-    """Canonical union of closed intervals on the lattice ``Z/scale``.
-
-    Part i is ``[los[i]/scale, his[i]/scale]``; the parts obey the same
-    canonical form as :class:`IntervalSet`.  Points ``num/den`` (den > 0)
-    are located by bisection on the floored key ``num*scale // den`` and
-    decided by cross-multiplication, so no ``Fraction`` is built.
-    """
-
-    scale: int
-    los: tuple[int, ...]
-    his: tuple[int, ...]
-
-    @classmethod
-    def from_set(cls, s: IntervalSet, scale: int) -> "LatticeSet":
-        """``s`` on ``Z/scale``; scale must be a multiple of every endpoint
-        denominator."""
-
-        def at(x: Fraction) -> int:
-            q, r = divmod(x.numerator * scale, x.denominator)
-            if r:
-                raise ValueError(f"{x} is not on the lattice Z/{scale}")
-            return q
-
-        return cls(scale, tuple(at(p.lo) for p in s), tuple(at(p.hi) for p in s))
-
-    def to_set(self) -> IntervalSet:
-        s = self.scale
-        return IntervalSet._from_canonical(
-            tuple(
-                Interval(Fraction(lo, s), Fraction(hi, s))
-                for lo, hi in zip(self.los, self.his)
-            )
-        )
-
-    def largest_gap(self) -> Fraction:
-        """Length of the longest gap; 0 when the set is a single interval."""
-        if not self.los:
-            raise EmptySet("empty set has no gap structure")
-        return Fraction(max(map(sub, self.los[1:], self.his), default=0), self.scale)
-
-    def contains(self, num: int, den: int) -> bool:
-        """True when ``num/den`` lies in the set."""
-        idx = bisect_right(self.los, num * self.scale // den)
-        return idx > 0 and num * self.scale <= self.his[idx - 1] * den
-
-    def gap_index(self, num: int, den: int) -> int:
-        """Index i of the gap ``(his[i-1], los[i])`` whose open interior holds
-        ``num/den``; 0 when no gap holds it."""
-        idx = bisect_right(self.los, num * self.scale // den)
-        if idx == 0 or idx == len(self.los):
-            return 0
-        return idx if num * self.scale > self.his[idx - 1] * den else 0
-
-    def gap(self, idx: int) -> Interval:
-        """The gap ``gap_index`` named, with rational endpoints."""
-        return Interval(
-            Fraction(self.his[idx - 1], self.scale), Fraction(self.los[idx], self.scale)
-        )
-
-
-def lattice_intersect_shifted(a: LatticeSet, b: LatticeSet, shift: int) -> LatticeSet:
+def _intersect_shifted(a: IntervalSet, b: IntervalSet, shift: int) -> IntervalSet:
     """``a & (b + shift/a.scale)`` on a's lattice, whose scale must be a
     multiple of b's.
 
@@ -373,21 +368,15 @@ def lattice_intersect_shifted(a: LatticeSet, b: LatticeSet, shift: int) -> Latti
             i += 1
         else:
             j += 1
-    return LatticeSet(a.scale, tuple(los), tuple(his))
+    return _make(a.scale, tuple(los), tuple(his))
 
 
 def intersect_shifted(a: IntervalSet, b: IntervalSet, shift: Fraction) -> IntervalSet:
     """Compute a & (b + shift) without materializing the translate of b.
 
-    Both sets and the shift go onto one common lattice and
-    :func:`lattice_intersect_shifted` does the scan.
+    a and the shift go onto a lattice that also holds b, and
+    :func:`_intersect_shifted` does the scan.
     """
-    scale = lcm(
-        shift.denominator,
-        *(x.denominator for p in (*a.parts, *b.parts) for x in (p.lo, p.hi)),
-    )
+    scale = lcm(a.scale, b.scale, shift.denominator)
     step = shift.numerator * (scale // shift.denominator)
-    result = lattice_intersect_shifted(
-        LatticeSet.from_set(a, scale), LatticeSet.from_set(b, scale), step
-    )
-    return result.to_set()
+    return _intersect_shifted(a.on_lattice(scale), b, step)

@@ -13,6 +13,7 @@ import enum
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 
 from .cover import cover
 from .embedding import (
@@ -449,9 +450,9 @@ def verify_example_four_map(depths: Depths = Depths()) -> TheoremReport:
     for n in range(1, 7):
         scaled = cover(ifs, n, depths.budget).parts.affine(Fraction(10), Fraction(0))
         shallow = cover(ifs, n - 1, depths.budget).parts
-        translated = IntervalSet(())
-        for s in FOUR_MAP_SCALE_TRANSLATES:
-            translated = translated | shallow.translate(s)
+        translated = reduce(
+            IntervalSet.union, (shallow.translate(s) for s in FOUR_MAP_SCALE_TRANSLATES)
+        )
         checks.append(
             Check(
                 f"scaled union identity at depth {n}",

@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -193,6 +194,12 @@ class TestVerifyPaper:
         assert main(["verify-paper", "--only", "example1_4", "--budget", "100"]) == 3
         assert "cylinder count 256 exceeds budget 100" in capsys.readouterr().err
 
+    def test_record_matches_golden_file(self, capsys):
+        # the full suite's records, byte for byte, as committed
+        golden = Path(__file__).parent / "data" / "verify_paper.record"
+        assert main(["verify-paper", "--format", "record"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
     def test_injection_fails(self, capsys):
         code = main(
             ["verify-paper", "--only", "thm1_2", "--inject-wrong-expectation"]
@@ -251,6 +258,19 @@ class TestErrorsAndBudget:
     def test_budget_env(self, three_spec, capsys, monkeypatch):
         monkeypatch.setenv("SELFSIM_BUDGET", "10")
         assert main(["cover", three_spec, "--depth", "8"]) == 3
+
+    def test_negative_budget_flag_is_usage_error(self, three_spec, capsys):
+        assert main(["check", three_spec, "1/5", "0", "--budget", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --budget must be >= 0, got -1\n"
+
+    def test_negative_budget_env_is_usage_error(self, three_spec, capsys, monkeypatch):
+        monkeypatch.setenv("SELFSIM_BUDGET", "-7")
+        assert main(["cover", three_spec, "--depth", "0"]) == 2
+        assert capsys.readouterr().err == "error: SELFSIM_BUDGET must be >= 0, got -7\n"
+
+    def test_zero_budget_is_exhausted(self, three_spec, capsys):
+        assert main(["check", three_spec, "1/5", "0", "--budget", "0"]) == 3
+        assert "budget exhausted" in capsys.readouterr().err
 
     def test_flag_overrides_env(self, three_spec, capsys, monkeypatch):
         monkeypatch.setenv("SELFSIM_BUDGET", "10")
@@ -396,7 +416,7 @@ BRANCH_DEPTHS = st.sampled_from(["2", "3", "1", "0"])
 @st.composite
 def command_args(draw, path):
     command = draw(st.sampled_from(["check", "decompose", "enumerate", "cover"]))
-    common = ["--budget", draw(st.sampled_from(["4096", "100", "0"])),
+    common = ["--budget", draw(st.sampled_from(["4096", "100", "0", "-1"])),
               "--format", draw(st.sampled_from(["text", "record"]))]
     if command == "cover":
         return ["cover", path, "--depth", draw(DEPTHS)] + common

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 from fractions import Fraction as F
@@ -113,7 +114,14 @@ class TestLatticeKernel:
             assert report.parts == images
             assert report.largest_gap == images.largest_gap()
             assert report.piece_count == len(images)
-            assert lattice_cover(ifs, depth).to_set() == images
+            assert lattice_cover(ifs, depth) is report.parts
+
+    def test_memo_cover_is_immutable(self):
+        # cover() hands out the memo's own set, so no caller may change it
+        parts = cover(three_map(F(1, 5), F(3, 10)), 2).parts
+        for field in ("scale", "los", "his"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(parts, field, getattr(parts, field))
 
     def test_scale_is_hull_times_denominator_power(self):
         # hull [0, 2/3] gives H = 3; ratios and offsets give D = 10

@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction as F
 from math import lcm
 
@@ -9,10 +10,141 @@ from selfsim.errors import EmptySet, NonpositiveDelta
 from selfsim.intervals import (
     Interval,
     IntervalSet,
-    LatticeSet,
+    _intersect_shifted,
     intersect_shifted,
-    lattice_intersect_shifted,
 )
+
+
+# -- reference kernel ---------------------------------------------------------
+#
+# The interval-union algorithms in Fraction arithmetic, as selfsim ran them
+# before IntervalSet moved onto one integer lattice.  The differential tests
+# below use them as the oracle for the int kernel.
+
+
+def _canonical(parts):
+    items = sorted(parts)
+    out = []
+    for part in items:
+        if out and part.lo <= out[-1].hi:
+            if part.hi > out[-1].hi:
+                out[-1] = Interval(out[-1].lo, part.hi)
+        else:
+            out.append(part)
+    return tuple(out)
+
+
+class ReferenceIntervalSet:
+    """Finite union of closed rational intervals in canonical form."""
+
+    def __init__(self, parts=()):
+        self.parts = _canonical(parts)
+
+    @classmethod
+    def _from_canonical(cls, parts):
+        obj = cls.__new__(cls)
+        obj.parts = parts
+        return obj
+
+    def contains_point(self, x):
+        idx = bisect_right(self.parts, x, key=lambda p: p.lo)
+        return idx > 0 and x <= self.parts[idx - 1].hi
+
+    def includes(self, other):
+        i = 0
+        for part in other.parts:
+            while i < len(self.parts) and self.parts[i].hi < part.lo:
+                i += 1
+            if i == len(self.parts) or not self.parts[i].contains_interval(part):
+                return False
+        return True
+
+    def union(self, other):
+        return ReferenceIntervalSet(self.parts + other.parts)
+
+    def intersect(self, other):
+        out = []
+        a, b = self.parts, other.parts
+        i = j = 0
+        while i < len(a) and j < len(b):
+            lo = max(a[i].lo, b[j].lo)
+            hi = min(a[i].hi, b[j].hi)
+            if lo <= hi:
+                out.append(Interval(lo, hi))
+            if a[i].hi < b[j].hi:
+                i += 1
+            else:
+                j += 1
+        return ReferenceIntervalSet._from_canonical(tuple(out))
+
+    def gaps(self):
+        if not self.parts:
+            raise EmptySet("empty set has no gap structure")
+        return tuple(
+            Interval(a.hi, b.lo) for a, b in zip(self.parts, self.parts[1:])
+        )
+
+    def largest_gap(self):
+        if not self.parts:
+            raise EmptySet("empty set has no gap structure")
+        widths = [b.lo - a.hi for a, b in zip(self.parts, self.parts[1:])]
+        return max(widths, default=F(0))
+
+    def largest_gap_interval(self):
+        if not self.parts:
+            raise EmptySet("empty set has no gap structure")
+        best = None
+        for gap in self.gaps():
+            if best is None or gap.length > best.length:
+                best = gap
+        return best
+
+    def gap_containing(self, x):
+        if not self.parts:
+            raise EmptySet("empty set has no gap structure")
+        idx = bisect_right(self.parts, x, key=lambda p: p.lo)
+        if idx == 0 or idx == len(self.parts):
+            return None
+        prev = self.parts[idx - 1]
+        if x <= prev.hi:
+            return None
+        return Interval(prev.hi, self.parts[idx].lo)
+
+    def dist(self, other):
+        if not self.parts or not other.parts:
+            raise EmptySet("distance needs two nonempty sets")
+        a, b = self.parts, other.parts
+        i = j = 0
+        best = None
+        while i < len(a) and j < len(b):
+            gap = max(a[i].lo - b[j].hi, b[j].lo - a[i].hi, F(0))
+            if best is None or gap < best:
+                best = gap
+            if best == 0:
+                return F(0)
+            if a[i].hi < b[j].hi:
+                i += 1
+            else:
+                j += 1
+        return best
+
+    def affine(self, ratio, offset):
+        if ratio == 0:
+            raise ValueError("affine image needs a nonzero ratio")
+        if ratio > 0:
+            parts = tuple(
+                Interval(ratio * p.lo + offset, ratio * p.hi + offset)
+                for p in self.parts
+            )
+        else:
+            parts = tuple(
+                Interval(ratio * p.hi + offset, ratio * p.lo + offset)
+                for p in reversed(self.parts)
+            )
+        return ReferenceIntervalSet._from_canonical(parts)
+
+    def translate(self, offset):
+        return self.affine(F(1), offset)
 
 
 def iset(*pairs):
@@ -157,6 +289,11 @@ class TestDist:
         b = iset((F(7, 10), 1))
         assert a.dist(b) == F(1, 10)
 
+    def test_gaps_inside_one_set_do_not_count(self):
+        a = iset((0, F(1, 10)), (F(2, 10), F(3, 10)))
+        b = iset((1, 2), (3, 4))
+        assert a.dist(b) == b.dist(a) == F(7, 10)
+
     def test_symmetric(self):
         a = iset((0, F(1, 5)))
         b = iset((F(1, 2), F(3, 5)), (F(9, 10), 1))
@@ -244,10 +381,11 @@ class TestIntersectShifted:
 finite_fractions = st.fractions(
     min_value=F(-2), max_value=F(2), max_denominator=16
 )
+nonzero_ratios = finite_fractions.filter(lambda r: r != 0)
 
 
 @st.composite
-def interval_sets(draw):
+def interval_lists(draw):
     endpoints = draw(
         st.lists(finite_fractions, min_size=0, max_size=8)
     )
@@ -255,7 +393,27 @@ def interval_sets(draw):
     for i in range(0, len(endpoints) - 1, 2):
         a, b = sorted(endpoints[i : i + 2])
         pairs.append(Interval(a, b))
-    return IntervalSet(tuple(pairs))
+    return tuple(pairs)
+
+
+def interval_sets():
+    return interval_lists().map(IntervalSet)
+
+
+@st.composite
+def set_pairs(draw):
+    """The same set in the int kernel, on a lattice up to 4 times finer than
+    it needs, and in the reference kernel."""
+    parts = draw(interval_lists())
+    s = IntervalSet(parts)
+    return s.on_lattice(s.scale * draw(st.integers(1, 4))), ReferenceIntervalSet(parts)
+
+
+def endpoints_and(s, extra):
+    """The endpoints and gap midpoints of s, then ``extra``."""
+    ends = [x for p in s.parts for x in (p.lo, p.hi)]
+    mids = [(a.hi + b.lo) / 2 for a, b in zip(s.parts, s.parts[1:])]
+    return ends + mids + list(extra)
 
 
 @given(interval_sets())
@@ -279,67 +437,112 @@ def test_intersect_shifted_agrees(a, b, shift):
     assert intersect_shifted(a, b, shift) == a & b.translate(shift)
 
 
-def lattice_scale(*sets, extra=()):
-    return lcm(
-        *(x.denominator for s in sets for p in s for x in (p.lo, p.hi)),
-        *(x.denominator for x in extra),
-    )
+@given(set_pairs(), set_pairs())
+@settings(max_examples=150, deadline=None)
+def test_binary_operations_agree(a, b):
+    """Union, intersection, inclusion, distance and equality of two sets on
+    different lattices, against the reference."""
+    (a, ra), (b, rb) = a, b
+    assert (a | b).parts == ra.union(rb).parts
+    assert (a & b).parts == ra.intersect(rb).parts
+    assert (a | b).scale == (a & b).scale == lcm(a.scale, b.scale)
+    assert a.includes(b) == ra.includes(rb)
+    assert b.includes(a) == rb.includes(ra)
+    # inclusions that hold, which random pairs seldom draw
+    assert (a | b).includes(b) and ra.union(rb).includes(rb)
+    assert a.includes(a & b) and ra.includes(ra.intersect(rb))
+    assert (a == b) == (ra.parts == rb.parts)
+    assert a != b or hash(a) == hash(b)
+    if a.is_empty or b.is_empty:
+        with pytest.raises(EmptySet):
+            a.dist(b)
+    else:
+        assert a.dist(b) == ra.dist(rb) == b.dist(a)
+        # b moved clear of a, so the nearest parts are not the first pair
+        far = b.translate(F(5))
+        assert a.dist(far) == ra.dist(rb.translate(F(5))) == far.dist(a)
 
 
-class TestLatticeSet:
+@given(
+    set_pairs(),
+    nonzero_ratios,
+    finite_fractions,
+    st.lists(finite_fractions, max_size=4),
+    st.integers(1, 6),
+)
+@settings(max_examples=150, deadline=None)
+def test_unary_operations_agree(pair, ratio, offset, extra, k):
+    """Affine images of both signs, translates and the gap queries against
+    the reference; equality and hash survive a move to a finer lattice."""
+    s, ref = pair
+    assert s.affine(ratio, offset).parts == ref.affine(ratio, offset).parts
+    assert s.translate(offset).parts == ref.translate(offset).parts
+    finer = s.on_lattice(s.scale * k)
+    assert finer == s and hash(finer) == hash(s)
+    if s.is_empty:
+        for query in (s.gaps, s.largest_gap, s.largest_gap_interval):
+            with pytest.raises(EmptySet):
+                query()
+        return
+    assert s.gaps() == ref.gaps()
+    assert s.largest_gap() == ref.largest_gap()
+    assert s.largest_gap_interval() == ref.largest_gap_interval()
+    for x in endpoints_and(s, extra):
+        assert s.gap_containing(x) == ref.gap_containing(x)
+
+
+class TestOnLattice:
     def test_round_trip(self):
         s = iset((0, F(1, 5)), (F(3, 10), F(1, 2)))
-        lat = LatticeSet.from_set(s, 20)
-        assert (lat.los, lat.his) == ((0, 6), (4, 10))
-        assert lat.to_set() == s
+        lat = s.on_lattice(20)
+        assert (lat.scale, lat.los, lat.his) == (20, (0, 6), (4, 10))
+        assert lat == s and lat.parts == s.parts
         assert lat.largest_gap() == F(1, 10)
 
     def test_off_lattice_rejected(self):
         with pytest.raises(ValueError):
-            LatticeSet.from_set(iset((0, F(1, 3))), 10)
+            iset((0, F(1, 3))).on_lattice(10)
 
-    def test_empty_has_no_gap(self):
-        with pytest.raises(EmptySet):
-            LatticeSet(1, (), ()).largest_gap()
+    def test_coarser_lattice_that_holds_the_endpoints(self):
+        s = iset((0, F(1, 2))).on_lattice(10)
+        assert s.on_lattice(4).los == (0,) and s.on_lattice(4).his == (2,)
 
     def test_scale_must_divide(self):
-        a = LatticeSet.from_set(iset((0, 1)), 10)
-        b = LatticeSet.from_set(iset((0, F(1, 3))), 3)
+        a = iset((0, 1)).on_lattice(10)
+        b = iset((0, F(1, 3)))
         with pytest.raises(ValueError):
-            lattice_intersect_shifted(a, b, 0)
+            _intersect_shifted(a, b, 0)
 
 
-@given(interval_sets(), st.lists(finite_fractions, max_size=6), st.integers(1, 4))
+@given(set_pairs(), st.lists(finite_fractions, max_size=6), st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
-def test_lattice_location_agrees(s, extra, spread):
+def test_lattice_location_agrees(pair, extra, spread):
     """Every endpoint is queried exactly, as reduced and as unreduced pairs,
     on a lattice finer than needed."""
-    lat = LatticeSet.from_set(s, lattice_scale(s) * spread)
-    assert lat.to_set() == s
-    queries = [x for p in s for x in (p.lo, p.hi)] + extra
+    s, ref = pair
+    lat = s.on_lattice(s.scale * spread)
+    assert lat.parts == ref.parts
+    queries = [x for p in ref.parts for x in (p.lo, p.hi)] + extra
     for x in queries:
         for k in (1, spread + 1):
             num, den = x.numerator * k, x.denominator * k
-            assert lat.contains(num, den) == s.contains_point(x)
-            if s.is_empty:
-                assert lat.gap_index(num, den) == 0
+            assert lat.contains(num, den) == ref.contains_point(x)
+            if lat.is_empty:
+                assert lat.gap_at(num, den) is None
                 continue
-            idx = lat.gap_index(num, den)
-            assert (lat.gap(idx) if idx else None) == s.gap_containing(x)
-    if s:
-        assert lat.largest_gap() == s.largest_gap()
+            assert lat.gap_at(num, den) == ref.gap_containing(x)
+    if lat:
+        assert lat.largest_gap() == ref.largest_gap()
 
 
-@given(interval_sets(), interval_sets(), finite_fractions, st.integers(1, 5))
+@given(set_pairs(), set_pairs(), finite_fractions, st.integers(1, 5))
 @settings(max_examples=100, deadline=None)
 def test_lattice_intersect_coarser_b_agrees(a, b, shift, k):
     """b on a lattice k times coarser than a's, as deep covers are."""
-    coarse = lattice_scale(b)
-    fine = lcm(coarse * k, lattice_scale(a, extra=(shift,)))
-    result = lattice_intersect_shifted(
-        LatticeSet.from_set(a, fine),
-        LatticeSet.from_set(b, coarse),
-        shift.numerator * (fine // shift.denominator),
+    (a, ra), (b, rb) = a, b
+    fine = lcm(b.scale * k, a.scale, shift.denominator)
+    result = _intersect_shifted(
+        a.on_lattice(fine), b, shift.numerator * (fine // shift.denominator)
     )
     assert result.scale == fine
-    assert result.to_set() == a & b.translate(shift)
+    assert result.parts == ra.intersect(rb.translate(shift)).parts
