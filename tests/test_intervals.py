@@ -503,6 +503,12 @@ class TestOnLattice:
         with pytest.raises(ValueError):
             iset((0, F(1, 3))).on_lattice(10)
 
+    def test_empty_has_no_gap(self):
+        empty = IntervalSet(()).on_lattice(20)
+        assert empty.scale == 20 and empty.los == () and empty.his == ()
+        with pytest.raises(EmptySet):
+            empty.largest_gap()
+
     def test_coarser_lattice_that_holds_the_endpoints(self):
         s = iset((0, F(1, 2))).on_lattice(10)
         assert s.on_lattice(4).los == (0,) and s.on_lattice(4).his == (2,)
